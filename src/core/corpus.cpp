@@ -1,5 +1,6 @@
 #include "core/corpus.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace kizzle::core {
@@ -31,7 +32,10 @@ void LabeledCorpus::add_sample(const std::string& family,
   for (Family& f : families_) {
     if (f.name == family) {
       f.entries.push_back(winnow::FingerprintSet::of_text(text, params_));
-      if (f.entries.size() > max_per_family_) f.entries.pop_front();
+      if (f.entries.size() > max_per_family_) {
+        f.entries.pop_front();
+        ++f.first;
+      }
       return;
     }
   }
@@ -53,12 +57,41 @@ double LabeledCorpus::containment(const winnow::FingerprintSet& prototype,
 
 LabelScore LabeledCorpus::label(
     const winnow::FingerprintSet& prototype) const {
+  return label(prototype, EntryScores{});
+}
+
+EntryScores LabeledCorpus::score_entries(
+    const winnow::FingerprintSet& prototype) const {
+  EntryScores scores;
+  scores.families.reserve(families_.size());
+  for (const Family& f : families_) {
+    EntryScores::Family& out = scores.families.emplace_back();
+    out.first = f.first;
+    out.containment.reserve(f.entries.size());
+    for (const auto& entry : f.entries) {
+      out.containment.push_back(prototype.containment(entry));
+    }
+  }
+  return scores;
+}
+
+LabelScore LabeledCorpus::label(const winnow::FingerprintSet& prototype,
+                                const EntryScores& earlier) const {
   LabelScore score;
   double best_eligible = 0.0;
-  for (const Family& f : families_) {
+  for (std::size_t fi = 0; fi < families_.size(); ++fi) {
+    const Family& f = families_[fi];
+    const EntryScores::Family* then =
+        fi < earlier.families.size() ? &earlier.families[fi] : nullptr;
     double best = 0.0;
-    for (const auto& entry : f.entries) {
-      best = std::max(best, prototype.containment(entry));
+    for (std::size_t e = 0; e < f.entries.size(); ++e) {
+      // Entries only leave from the front, so a present entry scored
+      // earlier sits at its sequence number's offset from then->first.
+      const std::uint64_t seq = f.first + e;
+      const bool scored = then != nullptr && seq >= then->first &&
+                          seq - then->first < then->containment.size();
+      best = std::max(best, scored ? then->containment[seq - then->first]
+                                   : prototype.containment(f.entries[e]));
     }
     score.overlap = std::max(score.overlap, best);
     if (best >= f.threshold && best > best_eligible) {

@@ -7,6 +7,7 @@
 // every family and takes the best containment.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -18,6 +19,20 @@ namespace kizzle::core {
 struct LabelScore {
   std::string family;   // empty when nothing reaches its threshold
   double overlap = 0.0; // best containment across all families
+};
+
+// The containment of one prototype in every entry of every family, as the
+// corpus stood when score_entries ran. Entries are identified by a
+// per-family sequence number (the n-th sample ever added to the family),
+// so a later label() can tell which of today's entries it already scored:
+// entries added since are the ones past the end of `containment`, entries
+// evicted since are the ones before the family's current first.
+struct EntryScores {
+  struct Family {
+    std::uint64_t first = 0;          // sequence number of containment[0]
+    std::vector<double> containment;  // per entry, oldest first
+  };
+  std::vector<Family> families;  // in add_family order
 };
 
 class LabeledCorpus {
@@ -36,6 +51,17 @@ class LabeledCorpus {
   // with the overall best overlap (even when below threshold).
   LabelScore label(const winnow::FingerprintSet& prototype) const;
 
+  // Scores `prototype` against every current entry. Read-only, so many
+  // prototypes may be scored concurrently while nothing is added.
+  EntryScores score_entries(const winnow::FingerprintSet& prototype) const;
+
+  // label(prototype) against the corpus as it stands now, reusing the
+  // scores `earlier` took of entries still present: only entries added
+  // since (and families registered since) are compared afresh. The result
+  // equals label(prototype) exactly, whatever was added or evicted.
+  LabelScore label(const winnow::FingerprintSet& prototype,
+                   const EntryScores& earlier) const;
+
   // Max containment of `prototype` against one family's entries.
   double containment(const winnow::FingerprintSet& prototype,
                      const std::string& family) const;
@@ -49,6 +75,7 @@ class LabeledCorpus {
     std::string name;
     double threshold;
     std::deque<winnow::FingerprintSet> entries;
+    std::uint64_t first = 0;  // sequence number of entries.front()
   };
   const Family* find(const std::string& family) const;
 

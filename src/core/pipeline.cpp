@@ -100,7 +100,17 @@ void KizzlePipeline::export_delta(std::ostream& os, int base_day) const {
   save_delta(os, delta);
 }
 
-std::size_t KizzlePipeline::cluster_medoid(
+namespace {
+
+// Seconds since `t`, and restarts `t` for the next stage.
+double lap(std::chrono::steady_clock::time_point& t) {
+  const auto now = std::chrono::steady_clock::now();
+  const double s = std::chrono::duration<double>(now - t).count();
+  t = now;
+  return s;
+}
+
+std::size_t cluster_medoid(
     const std::vector<std::size_t>& members,
     const std::vector<std::vector<std::uint32_t>>& streams) {
   if (members.size() == 1) return members[0];
@@ -123,46 +133,76 @@ std::size_t KizzlePipeline::cluster_medoid(
   return best;
 }
 
+}  // namespace
+
 DayReport KizzlePipeline::process_day(
     int day, const std::vector<std::string>& html_docs) {
   const auto t0 = std::chrono::steady_clock::now();
+  auto t = t0;
   DayReport report;
   report.day = day;
   report.n_samples = html_docs.size();
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(cfg_.threads);
 
   // ---- Tokenize and abstract every sample. ----
-  std::vector<SampleData> data(html_docs.size());
-  for (std::size_t i = 0; i < html_docs.size(); ++i) {
-    const std::string script = text::inline_script_text(html_docs[i]);
-    data[i].tokens = text::lex(script, text::LexOptions{.tolerant = true});
-    data[i].stream =
-        text::abstract_tokens(data[i].tokens, cfg_.abstraction, interner_);
-    data[i].normalized = sig::normalized_token_text(data[i].tokens);
+  // Workers only read the interner; each sample's unknown symbols are
+  // interned here afterwards, in sample order, so ids stay first-seen.
+  // Tokens are consumed as they are scanned: only the stream and the scan
+  // text are kept, and this thread copies both into its own allocations
+  // one wave of samples at a time. Under glibc, worker threads allocate
+  // from per-thread malloc arenas that the rest of the program cannot
+  // reuse; left there, a day's streams added 17 MB to the month
+  // benchmark's peak RSS and made the fleet_hits peak swing between 682
+  // and 801 MB from run to run (4-CPU host).
+  std::vector<std::vector<std::uint32_t>> streams(html_docs.size());
+  std::vector<std::string> normalized(html_docs.size());
+  const std::size_t wave = pool_->size() * 64;
+  for (std::size_t w = 0; w < html_docs.size(); w += wave) {
+    const std::size_t n = std::min(wave, html_docs.size() - w);
+    std::vector<text::PendingStream> pending(n);
+    std::vector<std::string> scan_texts(n);
+    pool_->parallel_for(n, [&](std::size_t i) {
+      text::PendingAbstraction abstraction(cfg_.abstraction, interner_);
+      text::lex_each(text::inline_script_text(html_docs[w + i]),
+                     text::LexOptions{.tolerant = true},
+                     [&](const text::Token& t) {
+                       abstraction.add(t);
+                       sig::append_normalized_token_text(t, scan_texts[i]);
+                     });
+      pending[i] = abstraction.take();
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<std::uint32_t> ids =
+          text::commit_pending(std::move(pending[i]), interner_);
+      streams[w + i].assign(ids.begin(), ids.end());
+      normalized[w + i] = scan_texts[i];
+    }
   }
+  report.stage_seconds.ingest = lap(t);
 
   // ---- Deduplicate identical abstract streams into weighted points. ----
   std::unordered_map<std::uint64_t, std::size_t> by_hash;  // hash -> unique idx
   std::vector<std::vector<std::uint32_t>> unique_streams;
   std::vector<std::size_t> weights;
   std::vector<std::vector<std::size_t>> members;  // unique idx -> sample idx
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const std::uint64_t h = fnv1a64(std::span<const std::uint32_t>(data[i].stream));
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const std::uint64_t h = fnv1a64(std::span<const std::uint32_t>(streams[i]));
     auto it = by_hash.find(h);
     // Hash collision guard: verify stream equality before merging.
-    if (it != by_hash.end() &&
-        unique_streams[it->second] == data[i].stream) {
+    if (it != by_hash.end() && unique_streams[it->second] == streams[i]) {
       ++weights[it->second];
       members[it->second].push_back(i);
     } else {
       by_hash.emplace(h, unique_streams.size());
-      unique_streams.push_back(data[i].stream);
+      unique_streams.push_back(std::move(streams[i]));
       weights.push_back(1);
       members.push_back({i});
     }
   }
+  streams = {};
+  report.stage_seconds.dedup = lap(t);
 
   // ---- Partitioned DBSCAN (Fig 7 map/reduce). ----
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(cfg_.threads);
   cluster::PartitionedParams pparams;
   pparams.partitions = cfg_.partitions;
   pparams.threads = cfg_.threads;
@@ -174,10 +214,22 @@ DayReport KizzlePipeline::process_day(
   report.cluster_stats = clusterer.stats();
   report.n_clusters = cs.clusters.size();
   for (std::size_t u : cs.noise) report.n_noise_samples += weights[u];
+  report.stage_seconds.cluster = lap(t);
 
-  // ---- Label each cluster and issue signatures. ----
-  for (const auto& unique_members : cs.clusters) {
-    ClusterReport cr;
+  // ---- Per-cluster prologue, in parallel. ----
+  // Everything up to the labeling decision depends only on the cluster
+  // and on the corpus as it stood at the start of the day: the medoid,
+  // the unpacked prototype, its fingerprints and its containment in every
+  // corpus entry.
+  struct Prologue {
+    ClusterReport report;
+    winnow::FingerprintSet fingerprints;
+    EntryScores scores;
+  };
+  std::vector<Prologue> prologues(cs.clusters.size());
+  pool_->parallel_for(cs.clusters.size(), [&](std::size_t c) {
+    const std::vector<std::size_t>& unique_members = cs.clusters[c];
+    ClusterReport& cr = prologues[c].report;
     const std::size_t medoid_u = cluster_medoid(unique_members, unique_streams);
     for (std::size_t u : unique_members) {
       cr.samples.insert(cr.samples.end(), members[u].begin(),
@@ -200,17 +252,27 @@ DayReport KizzlePipeline::process_day(
       // script rather than clustering on an empty prototype.
       cr.prototype_text = text::normalize_js(proto_script);
     }
-    const auto proto_fps =
+    prologues[c].fingerprints =
         winnow::FingerprintSet::of_text(cr.prototype_text, cfg_.winnow);
-    const LabelScore score = corpus_.label(proto_fps);
+    prologues[c].scores = corpus_.score_entries(prologues[c].fingerprints);
+  });
+
+  // ---- Label each cluster and issue signatures, in cluster order. ----
+  // A labeled prototype joins the corpus before the next cluster is
+  // labeled, and an issued signature joins the coverage check of the
+  // next; label() rescores only the entries added since the prologue.
+  for (Prologue& pro : prologues) {
+    ClusterReport& cr = pro.report;
+    const LabelScore score = corpus_.label(pro.fingerprints, pro.scores);
     cr.overlap = score.overlap;
     if (!score.family.empty()) {
       cr.label = score.family;
       corpus_.add_sample(score.family, cr.prototype_text);
-      process_cluster(day, data, cr);
+      process_cluster(day, html_docs, normalized, cr);
     }
     report.clusters.push_back(std::move(cr));
   }
+  report.stage_seconds.label = lap(t);
 
   report.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
@@ -218,9 +280,9 @@ DayReport KizzlePipeline::process_day(
   return report;
 }
 
-void KizzlePipeline::process_cluster(int day,
-                                     const std::vector<SampleData>& data,
-                                     ClusterReport& cr) {
+void KizzlePipeline::process_cluster(
+    int day, const std::vector<std::string>& html_docs,
+    const std::vector<std::string>& normalized, ClusterReport& cr) {
   // Coverage check: do existing family signatures still match the
   // cluster's samples? Other families' signatures are filtered out before
   // confirmation; the first family event covers the sample.
@@ -229,7 +291,7 @@ void KizzlePipeline::process_cluster(int day,
   for (std::size_t s : cr.samples) {
     bool matched = false;
     engine::scan(
-        db_, data[s].normalized, *scratch,
+        db_, normalized[s], *scratch,
         [this, &cr](std::size_t i) {
           return signatures_[i].family == cr.label;
         },
@@ -247,13 +309,15 @@ void KizzlePipeline::process_cluster(int day,
   if (coverage >= cfg_.coverage_threshold) return;
 
   // Compile a new signature from (up to max_signature_samples of) the
-  // cluster's packed samples.
+  // cluster's packed samples, lexed again: ingest keeps no tokens.
   std::vector<std::vector<text::Token>> sample_tokens;
   const std::size_t n =
       std::min(cr.samples.size(), cfg_.max_signature_samples);
   sample_tokens.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    sample_tokens.push_back(data[cr.samples[i]].tokens);
+    sample_tokens.push_back(
+        text::lex(text::inline_script_text(html_docs[cr.samples[i]]),
+                  text::LexOptions{.tolerant = true}));
   }
   const sig::Signature signature =
       sig::compile_signature(sample_tokens, cfg_.signature);

@@ -104,6 +104,15 @@ struct ClusterReport {
                            // (malicious clusters only)
 };
 
+// Wall seconds of each process_day stage, in order; they add up to
+// DayReport::seconds less a few bookkeeping microseconds.
+struct StageSeconds {
+  double ingest = 0.0;   // script extraction, lex, abstraction, scan text
+  double dedup = 0.0;    // identical streams merged into weighted points
+  double cluster = 0.0;  // partitioned DBSCAN
+  double label = 0.0;    // prototypes, labeling, coverage, signature issue
+};
+
 struct DayReport {
   int day = 0;
   std::size_t n_samples = 0;
@@ -112,6 +121,7 @@ struct DayReport {
   std::vector<ClusterReport> clusters;
   cluster::PipelineStats cluster_stats;
   double seconds = 0.0;
+  StageSeconds stage_seconds;
 };
 
 class KizzlePipeline {
@@ -124,6 +134,18 @@ class KizzlePipeline {
                    const std::string& unpacked_payload);
 
   // Processes one day's batch of HTML documents (ascending days).
+  //
+  // What runs on the pool: per-sample ingest (script extraction, lexing,
+  // abstraction against the read-only interner, scan text), clustering,
+  // and each cluster's prologue (medoid, prototype unpack and
+  // normalization, winnow fingerprints, containment in every corpus entry
+  // as of the start of the day). What stays ordered, on the calling
+  // thread: interning each sample's unknown symbols in sample order, so
+  // ids match a serial run; and labeling, coverage and signature issue in
+  // cluster order, because a labeled prototype joins the corpus before the
+  // next cluster is labeled and an issued signature joins the next
+  // cluster's coverage check. The report, labels, overlaps, signatures and
+  // artifacts are therefore the same for every PipelineConfig::threads.
   DayReport process_day(int day, const std::vector<std::string>& html_docs);
 
   // All signatures deployed so far, in issue order.
@@ -167,22 +189,20 @@ class KizzlePipeline {
   const LabeledCorpus& corpus() const { return corpus_; }
 
  private:
-  struct SampleData {
-    std::vector<text::Token> tokens;
-    std::vector<std::uint32_t> stream;
-    std::string normalized;  // normalized token text (scan target)
-  };
-
-  std::size_t cluster_medoid(const std::vector<std::size_t>& unique_members,
-                             const std::vector<std::vector<std::uint32_t>>& streams);
-  void process_cluster(int day, const std::vector<SampleData>& data,
+  // Coverage check and, when the family's signatures no longer cover the
+  // cluster, signature compilation and deployment. `normalized` holds each
+  // sample's normalized token text (the scan target); the signature's
+  // samples are lexed again from `html_docs`.
+  void process_cluster(int day, const std::vector<std::string>& html_docs,
+                       const std::vector<std::string>& normalized,
                        ClusterReport& report);
 
   PipelineConfig cfg_;
   Rng rng_;
-  // Shared worker pool for the clustering map/reduce, created on the first
-  // process_day and reused across the campaign (spawning threads per day
-  // showed up in the daily-run profile).
+  // Worker pool for ingest, clustering and the cluster prologues, created
+  // on the first process_day (its workers are placed on the CPUs of that
+  // caller's affinity mask) and reused across the campaign: spawning
+  // threads per day showed up in the daily-run profile.
   std::unique_ptr<ThreadPool> pool_;
   Interner interner_;
   LabeledCorpus corpus_;

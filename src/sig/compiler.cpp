@@ -13,33 +13,7 @@
 
 namespace kizzle::sig {
 
-std::string normalized_token_text(std::span<const text::Token> tokens) {
-  std::string out;
-  for (const text::Token& t : tokens) {
-    for (char c : text::normalized_text(t)) {
-      switch (c) {
-        case ' ':
-        case '\t':
-        case '\r':
-        case '\n':
-        case '\f':
-        case '\v':
-        case '"':
-        case '\'':
-          break;
-        default:
-          out.push_back(c);
-      }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-// Normalized concrete value of one token (quotes and whitespace stripped).
-std::string column_value(const text::Token& t) {
-  std::string out;
+void append_normalized_token_text(const text::Token& t, std::string& out) {
   for (char c : text::normalized_text(t)) {
     switch (c) {
       case ' ':
@@ -55,6 +29,20 @@ std::string column_value(const text::Token& t) {
         out.push_back(c);
     }
   }
+}
+
+std::string normalized_token_text(std::span<const text::Token> tokens) {
+  std::string out;
+  for (const text::Token& t : tokens) append_normalized_token_text(t, out);
+  return out;
+}
+
+namespace {
+
+// Normalized concrete value of one token (quotes and whitespace stripped).
+std::string column_value(const text::Token& t) {
+  std::string out;
+  append_normalized_token_text(t, out);
   return out;
 }
 

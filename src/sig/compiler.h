@@ -87,4 +87,7 @@ Signature compile_signature_from_sources(std::span<const std::string> sources,
 // the evaluation harness share the exact definition with the compiler.
 std::string normalized_token_text(std::span<const text::Token> tokens);
 
+// One token's share of normalized_token_text, appended to `out`.
+void append_normalized_token_text(const text::Token& t, std::string& out);
+
 }  // namespace kizzle::sig

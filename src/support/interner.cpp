@@ -5,7 +5,7 @@
 namespace kizzle {
 
 Interner::Id Interner::intern(std::string_view s) {
-  auto it = map_.find(std::string(s));
+  auto it = map_.find(s);
   if (it != map_.end()) return it->second;
   const Id id = static_cast<Id>(strings_.size());
   if (id == kNone) throw std::length_error("Interner: id space exhausted");
@@ -15,7 +15,7 @@ Interner::Id Interner::intern(std::string_view s) {
 }
 
 Interner::Id Interner::find(std::string_view s) const {
-  auto it = map_.find(std::string(s));
+  auto it = map_.find(s);
   return it == map_.end() ? kNone : it->second;
 }
 

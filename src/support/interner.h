@@ -5,12 +5,23 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace kizzle {
+
+// Transparent hash for std::string-keyed unordered containers (paired with
+// std::equal_to<>): lookups by string_view build no temporary std::string.
+// Abstraction looks up every token of every sample.
+struct StringViewHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 class Interner {
  public:
@@ -32,7 +43,7 @@ class Interner {
   std::size_t size() const { return strings_.size(); }
 
  private:
-  std::unordered_map<std::string, Id> map_;
+  std::unordered_map<std::string, Id, StringViewHash, std::equal_to<>> map_;
   std::vector<std::string> strings_;
 };
 

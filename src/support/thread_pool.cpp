@@ -1,16 +1,43 @@
 #include "support/thread_pool.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 
 namespace kizzle {
+
+namespace {
+
+// The CPUs of the calling thread's affinity mask, ascending.
+std::vector<int> creator_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads == 0) {
     n_threads = std::max(1u, std::thread::hardware_concurrency());
   }
+  // Placement is best effort: a refused pthread_setaffinity_np leaves the
+  // worker on the inherited mask, which is where it would be anyway.
+  const std::vector<int> cpus = creator_cpus();
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
+    if (cpus.size() < 2) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[i % cpus.size()], &one);
+    pthread_setaffinity_np(workers_.back().native_handle(), sizeof(one), &one);
   }
 }
 

@@ -72,31 +72,31 @@ constexpr std::array<std::string_view, 34> kPunctuators = {
     "+",    "-",    "*",   "%",
 };
 
+// Hands each token to `emit` (a callable taking Token&&) as soon as it is
+// scanned, so callers choose whether tokens are collected or consumed.
+template <typename Emit>
 class Lexer {
  public:
-  Lexer(std::string_view src, const LexOptions& opts)
-      : src_(src), opts_(opts) {}
+  Lexer(std::string_view src, const LexOptions& opts, Emit& emit)
+      : src_(src), opts_(opts), emit_(emit) {}
 
-  std::vector<Token> run() {
-    std::vector<Token> out;
-    out.reserve(src_.size() / 4 + 8);
+  void run() {
     while (skip_trivia(), pos_ < src_.size()) {
       const std::size_t start = pos_;
       const char c = src_[pos_];
       if (is_id_start(c)) {
-        lex_identifier(out, start);
+        lex_identifier(start);
       } else if (is_digit(c) || (c == '.' && pos_ + 1 < src_.size() &&
                                  is_digit(src_[pos_ + 1]))) {
-        lex_number(out, start);
+        lex_number(start);
       } else if (c == '"' || c == '\'') {
-        lex_string(out, start, c);
-      } else if (c == '/' && regex_allowed(out)) {
-        lex_regex(out, start);
+        lex_string(start, c);
+      } else if (c == '/' && regex_allowed()) {
+        lex_regex(start);
       } else {
-        lex_punctuator(out, start);
+        lex_punctuator(start);
       }
     }
-    return out;
   }
 
  private:
@@ -135,15 +135,15 @@ class Lexer {
     }
   }
 
-  void lex_identifier(std::vector<Token>& out, std::size_t start) {
+  void lex_identifier(std::size_t start) {
     while (pos_ < src_.size() && is_id_part(src_[pos_])) ++pos_;
     std::string text(src_.substr(start, pos_ - start));
     const TokenClass cls =
         is_keyword(text) ? TokenClass::Keyword : TokenClass::Identifier;
-    out.push_back(Token{cls, std::move(text), start});
+    emit(Token{cls, std::move(text), start});
   }
 
-  void lex_number(std::vector<Token>& out, std::size_t start) {
+  void lex_number(std::size_t start) {
     if (src_[pos_] == '0' && pos_ + 1 < src_.size() &&
         (src_[pos_ + 1] == 'x' || src_[pos_ + 1] == 'X')) {
       pos_ += 2;
@@ -167,12 +167,11 @@ class Lexer {
         }
       }
     }
-    out.push_back(
-        Token{TokenClass::Number, std::string(src_.substr(start, pos_ - start)),
-              start});
+    emit(Token{TokenClass::Number,
+               std::string(src_.substr(start, pos_ - start)), start});
   }
 
-  void lex_string(std::vector<Token>& out, std::size_t start, char quote) {
+  void lex_string(std::size_t start, char quote) {
     ++pos_;
     while (pos_ < src_.size()) {
       const char c = src_[pos_];
@@ -182,9 +181,8 @@ class Lexer {
       }
       if (c == quote) {
         ++pos_;
-        out.push_back(Token{TokenClass::String,
-                            std::string(src_.substr(start, pos_ - start)),
-                            start});
+        emit(Token{TokenClass::String,
+                   std::string(src_.substr(start, pos_ - start)), start});
         return;
       }
       if (c == '\n' && !opts_.tolerant) {
@@ -193,33 +191,41 @@ class Lexer {
       ++pos_;
     }
     if (!opts_.tolerant) fail("unterminated string literal", start);
-    out.push_back(Token{TokenClass::String,
-                        std::string(src_.substr(start, pos_ - start)), start});
+    emit(Token{TokenClass::String,
+               std::string(src_.substr(start, pos_ - start)), start});
   }
 
   // Standard heuristic: '/' starts a regex literal unless the previous
   // significant token can end an expression (identifier, literal, ')', ']',
   // '}', or the keywords this/true/false/null).
-  bool regex_allowed(const std::vector<Token>& out) const {
-    if (out.empty()) return true;
-    const Token& prev = out.back();
-    switch (prev.cls) {
+  bool regex_allowed() const {
+    if (!has_prev_) return true;
+    switch (prev_cls_) {
       case TokenClass::Identifier:
       case TokenClass::Number:
       case TokenClass::String:
       case TokenClass::Regex:
         return false;
       case TokenClass::Keyword:
-        return !(prev.text == "this" || prev.text == "true" ||
-                 prev.text == "false" || prev.text == "null");
+        return !(prev_text_ == "this" || prev_text_ == "true" ||
+                 prev_text_ == "false" || prev_text_ == "null");
       case TokenClass::Punctuator:
-        return !(prev.text == ")" || prev.text == "]" || prev.text == "}" ||
-                 prev.text == "++" || prev.text == "--");
+        return !(prev_text_ == ")" || prev_text_ == "]" || prev_text_ == "}" ||
+                 prev_text_ == "++" || prev_text_ == "--");
     }
     return true;
   }
 
-  void lex_regex(std::vector<Token>& out, std::size_t start) {
+  // Every token's text is the source slice at its offset, so the previous
+  // token is remembered as a view into the source.
+  void emit(Token&& t) {
+    has_prev_ = true;
+    prev_cls_ = t.cls;
+    prev_text_ = src_.substr(t.offset, t.text.size());
+    emit_(std::move(t));
+  }
+
+  void lex_regex(std::size_t start) {
     ++pos_;  // consume '/'
     bool in_class = false;
     for (;;) {
@@ -241,16 +247,15 @@ class Lexer {
       ++pos_;
     }
     while (pos_ < src_.size() && is_id_part(src_[pos_])) ++pos_;  // flags
-    out.push_back(
-        Token{TokenClass::Regex, std::string(src_.substr(start, pos_ - start)),
-              start});
+    emit(Token{TokenClass::Regex,
+               std::string(src_.substr(start, pos_ - start)), start});
   }
 
-  void lex_punctuator(std::vector<Token>& out, std::size_t start) {
+  void lex_punctuator(std::size_t start) {
     for (std::string_view p : kPunctuators) {
       if (src_.substr(pos_).substr(0, p.size()) == p) {
         pos_ += p.size();
-        out.push_back(Token{TokenClass::Punctuator, std::string(p), start});
+        emit(Token{TokenClass::Punctuator, std::string(p), start});
         return;
       }
     }
@@ -260,18 +265,32 @@ class Lexer {
       fail("unexpected character", pos_);
     }
     ++pos_;
-    out.push_back(Token{TokenClass::Punctuator, std::string(1, c), start});
+    emit(Token{TokenClass::Punctuator, std::string(1, c), start});
   }
 
   std::string_view src_;
   LexOptions opts_;
+  Emit& emit_;
   std::size_t pos_ = 0;
+  bool has_prev_ = false;
+  TokenClass prev_cls_ = TokenClass::Punctuator;
+  std::string_view prev_text_;
 };
 
 }  // namespace
 
 std::vector<Token> lex(std::string_view source, const LexOptions& opts) {
-  return Lexer(source, opts).run();
+  std::vector<Token> out;
+  out.reserve(source.size() / 4 + 8);
+  auto collect = [&out](Token&& t) { out.push_back(std::move(t)); };
+  Lexer(source, opts, collect).run();
+  return out;
+}
+
+void lex_each(std::string_view source, const LexOptions& opts,
+              const std::function<void(const Token&)>& sink) {
+  auto forward = [&sink](Token&& t) { sink(t); };
+  Lexer(source, opts, forward).run();
 }
 
 }  // namespace kizzle::text

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -37,6 +38,12 @@ struct LexOptions {
 // prev-token heuristic (a '/' starts a regex unless the previous significant
 // token can end an expression).
 std::vector<Token> lex(std::string_view source, const LexOptions& opts = {});
+
+// The tokens lex() returns, handed to `sink` one at a time and in order
+// without collecting them: the pipeline's ingest consumes each token as
+// it is scanned and keeps none.
+void lex_each(std::string_view source, const LexOptions& opts,
+              const std::function<void(const Token&)>& sink);
 
 // True if `word` is a JavaScript keyword / reserved word (ES5 set plus
 // null/true/false literals, which the paper's tokenizer treats as keywords).

@@ -20,6 +20,8 @@ enum class TokenClass : std::uint8_t {
   Number,      // 47, 0x1F, 1.5e3
   Regex,       // /ab+c/g (regex literal, including flags)
 };
+inline constexpr std::size_t kTokenClasses =
+    static_cast<std::size_t>(TokenClass::Regex) + 1;
 
 // Short stable name for a token class ("Keyword", "Identifier", ...).
 std::string_view token_class_name(TokenClass cls);

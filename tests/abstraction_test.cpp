@@ -87,5 +87,55 @@ TEST(Abstraction, SharedInternerIsStableAcrossCalls) {
   EXPECT_EQ(a1, a2);
 }
 
+PendingStream pending(std::string_view src, Abstraction level,
+                      const Interner& in) {
+  PendingAbstraction abstraction(level, in);
+  for (const Token& t : lex(src)) abstraction.add(t);
+  return abstraction.take();
+}
+
+// Parallel ingest abstracts every sample against the interner as it stood
+// before the batch, then commits the samples in order: the ids must be the
+// ones serial interning assigns, misses shared between samples included.
+TEST(Abstraction, PendingThenCommitInOrderMatchesSerialInterning) {
+  const std::vector<std::string> sources = {
+      "var a = \"s\"; a += 1;",
+      "function f(x) { return x * 2; } /re+/g",
+      "var b = f(3) + 1; while (b) { b--; } f(/re+/g)",
+      "return;",
+  };
+  for (const Abstraction level :
+       {Abstraction::ClassOnly, Abstraction::KeywordsAndPunct,
+        Abstraction::FullText}) {
+    Interner serial;
+    Interner batched;
+    for (Interner* in : {&serial, &batched}) abstract("if (q) {}", level, *in);
+
+    std::vector<std::vector<std::uint32_t>> expected;
+    for (const std::string& src : sources) {
+      expected.push_back(abstract(src, level, serial));
+    }
+    std::vector<PendingStream> streams;
+    for (const std::string& src : sources) {
+      streams.push_back(pending(src, level, batched));
+    }
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(commit_pending(std::move(streams[i]), batched), expected[i])
+          << "sample " << i << " level " << static_cast<int>(level);
+    }
+    EXPECT_EQ(batched.size(), serial.size());
+  }
+}
+
+TEST(Abstraction, PendingKeepsEachMissingSymbolOnce) {
+  Interner in;
+  abstract("x", Abstraction::FullText, in);
+  const PendingStream p = pending("x y y x z y", Abstraction::FullText, in);
+  EXPECT_EQ(p.missing, (std::vector<std::string>{"y", "z"}));
+  EXPECT_EQ(p.misses, (std::vector<std::uint32_t>{0, 0, 1, 0}));
+  EXPECT_EQ(p.ids[0], in.find("x"));
+  EXPECT_EQ(in.size(), 1u);  // nothing interned before the commit
+}
+
 }  // namespace
 }  // namespace kizzle::text

@@ -89,6 +89,42 @@ TEST(Corpus, DriftTrackingThroughAccumulation) {
   EXPECT_EQ(corpus.label(fps(v2)).family, "A");
 }
 
+// Labeling against an earlier entry snapshot must equal a fresh label()
+// after every kind of change since: entries added, entries evicted (the
+// prototype's exact twin among them) and families registered.
+TEST(Corpus, LabelFromEarlierScoresTracksAddsAndEvictions) {
+  LabeledCorpus corpus(winnow::Params{}, 2);
+  corpus.add_family("A", 0.5);
+  corpus.add_family("B", 0.5);
+  const std::string proto = random_text(1, 2000);
+  const auto p = fps(proto);
+  corpus.add_sample("A", proto);
+  corpus.add_sample("A", random_text(2, 2000));
+  corpus.add_sample("B", random_text(3, 2000));
+  const EntryScores earlier = corpus.score_entries(p);
+  ASSERT_EQ(earlier.families.size(), 2u);
+  EXPECT_EQ(earlier.families[0].containment.size(), 2u);
+
+  const auto expect_same = [&](const std::string& family) {
+    const LabelScore fresh = corpus.label(p);
+    const LabelScore reused = corpus.label(p, earlier);
+    EXPECT_EQ(reused.family, fresh.family);
+    EXPECT_EQ(reused.overlap, fresh.overlap);
+    EXPECT_EQ(fresh.family, family);
+  };
+  expect_same("A");
+  corpus.add_sample("A", random_text(4, 2000));  // evicts A's twin
+  expect_same("");
+  corpus.add_sample("B", proto);  // a twin arrives after the snapshot
+  expect_same("B");
+  corpus.add_sample("B", random_text(5, 2000));
+  corpus.add_sample("B", random_text(6, 2000));  // and is evicted again
+  expect_same("");
+  corpus.add_family("C", 0.5);
+  corpus.add_sample("C", proto);
+  expect_same("C");
+}
+
 TEST(Corpus, UnknownFamilyThrows) {
   LabeledCorpus corpus;
   EXPECT_THROW(corpus.add_sample("nope", "text"), std::invalid_argument);

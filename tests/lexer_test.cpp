@@ -187,5 +187,16 @@ document.body.appendChild(screlem);
   EXPECT_GT(tokens.size(), 60u);
 }
 
+TEST(Lexer, LexEachStreamsExactlyWhatLexReturns) {
+  for (const char* src :
+       {"a / b / c", "x = /re[/]x/g.test(y)", "this / 2", "f() / 3",
+        "'unterminated", "var s = \"q\"; /* c */ z++ / 1", "\x01 @ #", ""}) {
+    std::vector<Token> streamed;
+    lex_each(src, LexOptions{.tolerant = true},
+             [&](const Token& t) { streamed.push_back(t); });
+    EXPECT_EQ(streamed, lex(src)) << src;
+  }
+}
+
 }  // namespace
 }  // namespace kizzle::text

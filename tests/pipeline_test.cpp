@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+
 #include "core/pipeline.h"
 #include "kitgen/stream.h"
 #include "text/normalize.h"
@@ -164,6 +167,177 @@ TEST(Pipeline, UnknownSamplesStayUnlabeled) {
   }
   EXPECT_TRUE(pipeline.signatures().empty());
 }
+
+// ---------------------------------------- thread-count differential --
+
+// Everything a campaign produces, timing excluded.
+struct CampaignOutput {
+  std::vector<std::pair<std::string, std::string>> seeds;  // family, payload
+  std::vector<DayReport> reports;
+  std::vector<DeployedSignature> signatures;
+  std::string artifact;
+  std::string delta;  // increment over the first day
+};
+
+// Low enough that many clusters of one family are labeled on the same day
+// (about six Nuclear clusters on the third), so the corpus entries a
+// family gains or evicts during a day decide later labels of that day.
+constexpr double kCampaignThreshold = 0.10;
+
+CampaignOutput run_campaign(PipelineConfig cfg, std::size_t threads) {
+  constexpr int kDays = 3;
+  kitgen::StreamConfig scfg;
+  scfg.volume_scale = 0.2;
+  kitgen::StreamSimulator sim(scfg);
+  cfg.partitions = 4;
+  cfg.threads = threads;
+  KizzlePipeline pipeline(cfg, 777);
+  CampaignOutput out;
+  for (const auto& [family, payload] : sim.seed_corpus()) {
+    out.seeds.emplace_back(kitgen::family_name(family), payload);
+    pipeline.seed_family(out.seeds.back().first, kCampaignThreshold, payload);
+  }
+  for (int day = kitgen::kAug1; day < kitgen::kAug1 + kDays; ++day) {
+    std::vector<std::string> htmls;
+    for (const auto& sample : sim.generate_day(day).samples) {
+      htmls.push_back(sample.html);
+    }
+    out.reports.push_back(pipeline.process_day(day, htmls));
+  }
+  out.signatures = pipeline.signatures();
+  std::ostringstream artifact;
+  pipeline.export_artifact(artifact);
+  out.artifact = artifact.str();
+  std::ostringstream delta;
+  pipeline.export_delta(delta, kitgen::kAug1);
+  out.delta = delta.str();
+  return out;
+}
+
+void expect_same_dbscan_counts(const cluster::DbscanStats& a,
+                               const cluster::DbscanStats& b) {
+  EXPECT_EQ(a.pairs_considered, b.pairs_considered);
+  EXPECT_EQ(a.pairs_pruned_length, b.pairs_pruned_length);
+  EXPECT_EQ(a.pairs_pruned_histogram, b.pairs_pruned_histogram);
+  EXPECT_EQ(a.pairs_pruned_sketch, b.pairs_pruned_sketch);
+  EXPECT_EQ(a.dp_computations, b.dp_computations);
+}
+
+void expect_same_report(const DayReport& a, const DayReport& b) {
+  EXPECT_EQ(a.day, b.day);
+  EXPECT_EQ(a.n_samples, b.n_samples);
+  EXPECT_EQ(a.n_clusters, b.n_clusters);
+  EXPECT_EQ(a.n_noise_samples, b.n_noise_samples);
+  expect_same_dbscan_counts(a.cluster_stats.map, b.cluster_stats.map);
+  expect_same_dbscan_counts(a.cluster_stats.reduce, b.cluster_stats.reduce);
+  EXPECT_EQ(a.cluster_stats.clusters_before_merge,
+            b.cluster_stats.clusters_before_merge);
+  EXPECT_EQ(a.cluster_stats.clusters_after_merge,
+            b.cluster_stats.clusters_after_merge);
+  ASSERT_EQ(a.clusters.size(), b.clusters.size());
+  for (std::size_t c = 0; c < a.clusters.size(); ++c) {
+    SCOPED_TRACE("cluster " + std::to_string(c));
+    const ClusterReport& x = a.clusters[c];
+    const ClusterReport& y = b.clusters[c];
+    EXPECT_EQ(x.samples, y.samples);
+    EXPECT_EQ(x.label, y.label);
+    EXPECT_EQ(x.overlap, y.overlap);  // bit-identical, not approximately
+    EXPECT_EQ(x.unpacked, y.unpacked);
+    EXPECT_EQ(x.unpacker, y.unpacker);
+    EXPECT_EQ(x.prototype_text, y.prototype_text);
+    EXPECT_EQ(x.issued_signature, y.issued_signature);
+    EXPECT_EQ(x.signature_name, y.signature_name);
+    EXPECT_EQ(x.signature_failure, y.signature_failure);
+    EXPECT_EQ(x.coverage, y.coverage);
+  }
+}
+
+// Labeling oracle: replays every day's labeling decisions in cluster order
+// against a corpus that is updated as it goes and scored from scratch,
+// as a serial loop labels. process_day labels from scores taken before
+// the day's first label, so this pins that reuse as exact, evictions
+// included; a threads=1 run cannot, since it reuses scores the same way.
+void expect_serial_labeling(const PipelineConfig& cfg,
+                            const CampaignOutput& out) {
+  LabeledCorpus corpus(cfg.winnow, cfg.corpus_max_per_family);
+  for (const auto& [family, payload] : out.seeds) {
+    corpus.add_family(family, kCampaignThreshold);
+    corpus.add_sample(family, text::normalize_js(payload));
+  }
+  for (const DayReport& r : out.reports) {
+    for (const ClusterReport& cr : r.clusters) {
+      const LabelScore score = corpus.label(
+          winnow::FingerprintSet::of_text(cr.prototype_text, cfg.winnow));
+      EXPECT_EQ(cr.label, score.family) << "day " << r.day;
+      EXPECT_EQ(cr.overlap, score.overlap) << "day " << r.day;
+      if (!score.family.empty()) {
+        corpus.add_sample(score.family, cr.prototype_text);
+      }
+    }
+  }
+}
+
+struct ThreadCountVariant {
+  const char* name;
+  std::function<void(PipelineConfig&)> adjust;
+};
+
+class ThreadCountDifferential
+    : public ::testing::TestWithParam<ThreadCountVariant> {};
+
+// process_day fans ingest and the cluster prologues out over the pool but
+// keeps interning, labeling and issue in order: one worker and four must
+// produce the same reports, signatures and artifact bytes.
+TEST_P(ThreadCountDifferential, OneAndFourThreadsProduceIdenticalOutput) {
+  PipelineConfig cfg;
+  GetParam().adjust(cfg);
+  const CampaignOutput serial = run_campaign(cfg, 1);
+  const CampaignOutput parallel = run_campaign(cfg, 4);
+
+  std::size_t labeled = 0;
+  for (const DayReport& r : serial.reports) {
+    for (const ClusterReport& cr : r.clusters) labeled += !cr.label.empty();
+  }
+  EXPECT_GT(labeled, 0u) << "the campaign must exercise labeling";
+
+  ASSERT_EQ(serial.reports.size(), parallel.reports.size());
+  for (std::size_t d = 0; d < serial.reports.size(); ++d) {
+    SCOPED_TRACE("day index " + std::to_string(d));
+    expect_same_report(serial.reports[d], parallel.reports[d]);
+  }
+  ASSERT_EQ(serial.signatures.size(), parallel.signatures.size());
+  for (std::size_t i = 0; i < serial.signatures.size(); ++i) {
+    const DeployedSignature& x = serial.signatures[i];
+    const DeployedSignature& y = parallel.signatures[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.family, y.family);
+    EXPECT_EQ(x.issued_day, y.issued_day);
+    EXPECT_EQ(x.pattern, y.pattern);
+    EXPECT_EQ(x.token_length, y.token_length);
+  }
+  EXPECT_TRUE(serial.artifact == parallel.artifact) << "artifact bytes differ";
+  EXPECT_TRUE(serial.delta == parallel.delta) << "delta bytes differ";
+  expect_serial_labeling(cfg, parallel);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pipeline, ThreadCountDifferential,
+    ::testing::Values(
+        ThreadCountVariant{"Default", [](PipelineConfig&) {}},
+        // Every labeled prototype evicts the family's previous entry, so
+        // labeling must account for entries gone since the prologue.
+        ThreadCountVariant{"EvictEveryAdd",
+                           [](PipelineConfig& c) {
+                             c.corpus_max_per_family = 1;
+                           }},
+        // Every identifier is its own symbol: interner misses every day.
+        ThreadCountVariant{"FullText",
+                           [](PipelineConfig& c) {
+                             c.abstraction = text::Abstraction::FullText;
+                           }}),
+    [](const ::testing::TestParamInfo<ThreadCountVariant>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace kizzle::core

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <latch>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -271,6 +276,68 @@ TEST(ThreadPool, ConcurrentBatchExceptionsStayWithTheirBatch) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(wrong.load(), 0);
+}
+
+// The CPUs of the calling thread's affinity mask.
+std::set<int> own_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask), 0);
+  std::set<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) cpus.insert(cpu);
+  }
+  return cpus;
+}
+
+// Each worker's affinity mask, observed from inside the worker: n tasks
+// that all wait for each other must run on n distinct workers.
+std::vector<std::set<int>> worker_masks(ThreadPool& pool) {
+  const std::size_t n = pool.size();
+  std::latch all_running(static_cast<std::ptrdiff_t>(n));
+  std::mutex mu;
+  std::vector<std::set<int>> masks;
+  pool.parallel_for(n, [&](std::size_t) {
+    all_running.arrive_and_wait();
+    std::set<int> mine = own_cpus();
+    std::lock_guard<std::mutex> lock(mu);
+    masks.push_back(std::move(mine));
+  });
+  return masks;
+}
+
+TEST(ThreadPool, WorkersArePinnedToDistinctCpusOfTheCreatorsMask) {
+  const std::set<int> creator = own_cpus();
+  ASSERT_FALSE(creator.empty());
+  // One worker more than CPUs (capped), so the wrap-around is exercised.
+  ThreadPool pool(std::min<std::size_t>(creator.size(), 8) + 1);
+  std::set<int> distinct;
+  for (const std::set<int>& mask : worker_masks(pool)) {
+    ASSERT_EQ(mask.size(), 1u);
+    EXPECT_TRUE(creator.contains(*mask.begin()));
+    distinct.insert(*mask.begin());
+  }
+  EXPECT_EQ(distinct.size(), std::min(pool.size(), creator.size()));
+}
+
+TEST(ThreadPool, OneCpuCreatorKeepsItsCpuForEveryWorker) {
+  const int cpu = *own_cpus().begin();
+  std::vector<std::set<int>> masks;
+  // The one-CPU mask is set on a thread of the test's own, so the rest of
+  // the suite keeps its affinity.
+  std::thread creator([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+    ThreadPool pool(3);
+    masks = worker_masks(pool);
+  });
+  creator.join();
+  ASSERT_EQ(masks.size(), 3u);
+  for (const std::set<int>& mask : masks) {
+    EXPECT_EQ(mask, std::set<int>{cpu});
+  }
 }
 
 // ------------------------------------------------------------- strings --

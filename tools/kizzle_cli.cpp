@@ -552,10 +552,13 @@ int cmd_demo(const std::vector<std::string>& args) {
     std::vector<std::string> htmls;
     for (const auto& s : batch.samples) htmls.push_back(s.html);
     const auto report = pipeline.process_day(day, htmls);
+    const core::StageSeconds& st = report.stage_seconds;
     std::fprintf(stderr,
-                 "[%s] %zu samples, %zu clusters, %zu signatures deployed\n",
+                 "[%s] %zu samples, %zu clusters, %zu signatures deployed "
+                 "(ingest %.3fs, dedup %.3fs, cluster %.3fs, label %.3fs)\n",
                  kitgen::date_label(day).c_str(), report.n_samples,
-                 report.n_clusters, pipeline.signatures().size());
+                 report.n_clusters, pipeline.signatures().size(), st.ingest,
+                 st.dedup, st.cluster, st.label);
   }
   // The deployable artifact: a signature database on stdout, and — when a
   // path is given — the binary bundle artifact with the release-built
