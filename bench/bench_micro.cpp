@@ -21,7 +21,6 @@
 #include "match/scanner.h"
 #include "sig/common_window.h"
 #include "support/interner.h"
-#include "support/mapped_file.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "text/abstraction.h"
@@ -380,11 +379,9 @@ void add_database_signatures(match::Scanner& scanner, std::size_t count,
 
 // The literal first stage in isolation: one prefilter over a deployed-set
 // shaped literal database (40-byte chunks, streaming_signatures shape),
-// candidates_into over one normalized sample. BM_TeddyPrefilter is the
-// SIMD two-stage path (best available kernel), BM_TeddyPrefilterAutomaton
-// forces the byte-at-a-time Aho–Corasick walk over the same registrations
-// — the single-stream first-stage speedup is the ratio of the two.
-void teddy_prefilter_bench(benchmark::State& state, match::FirstStage stage) {
+// candidates_into over one normalized sample, through the SIMD two-stage
+// path (best available kernel).
+void BM_TeddyPrefilter(benchmark::State& state) {
   Rng rng(16);
   std::vector<std::string> donors;
   for (int d = 0; d < 8; ++d) {
@@ -398,7 +395,6 @@ void teddy_prefilter_bench(benchmark::State& state, match::FirstStage stage) {
                   std::to_string(i));
   }
   pf.build();
-  pf.set_first_stage(stage);
   const std::string text = text::normalize_raw(packed_nuclear_sample(1));
   std::vector<std::size_t> out;
   for (auto _ : state) {
@@ -409,23 +405,13 @@ void teddy_prefilter_bench(benchmark::State& state, match::FirstStage stage) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
 }
-
-void BM_TeddyPrefilter(benchmark::State& state) {
-  teddy_prefilter_bench(state, match::FirstStage::kAuto);
-}
 BENCHMARK(BM_TeddyPrefilter)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_TeddyPrefilterAutomaton(benchmark::State& state) {
-  teddy_prefilter_bench(state, match::FirstStage::kAutomaton);
-}
-BENCHMARK(BM_TeddyPrefilterAutomaton)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
 // 1–2-byte literals: the length classes the pre-Fat first stage refused
-// outright (its minimum literal length was 3, forcing the whole database
-// onto the automaton). Sharded plans route them through the shift-or
-// kernels; the Automaton variant is the old behaviour for the same set.
-void teddy_short_prefilter_bench(benchmark::State& state,
-                                 match::FirstStage stage) {
+// outright (its minimum literal length was 3). Sharded plans route them
+// through the shift-or kernels; the 512-literal set is dense enough that
+// its shards route to the dense-literal automaton instead.
+void BM_TeddyPrefilterShortLiterals(benchmark::State& state) {
   constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
   match::LiteralPrefilter pf;
   const auto count = static_cast<std::size_t>(state.range(0));
@@ -436,7 +422,6 @@ void teddy_short_prefilter_bench(benchmark::State& state,
     pf.add(i, lit);
   }
   pf.build();
-  pf.set_first_stage(stage);
   const std::string text = text::normalize_raw(packed_nuclear_sample(1));
   std::vector<std::size_t> out;
   for (auto _ : state) {
@@ -444,20 +429,13 @@ void teddy_short_prefilter_bench(benchmark::State& state,
     benchmark::DoNotOptimize(out);
   }
   state.counters["teddy"] = pf.teddy_active() ? 1 : 0;
+  state.counters["dense_shards"] =
+      static_cast<double>(pf.dense_shard_count());
   state.counters["survivors"] = static_cast<double>(out.size());
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
 }
-
-void BM_TeddyPrefilterShortLiterals(benchmark::State& state) {
-  teddy_short_prefilter_bench(state, match::FirstStage::kAuto);
-}
 BENCHMARK(BM_TeddyPrefilterShortLiterals)->Arg(64)->Arg(512);
-
-void BM_TeddyPrefilterShortLiteralsAutomaton(benchmark::State& state) {
-  teddy_short_prefilter_bench(state, match::FirstStage::kAutomaton);
-}
-BENCHMARK(BM_TeddyPrefilterShortLiteralsAutomaton)->Arg(64)->Arg(512);
 
 void BM_ScanManySignatures(benchmark::State& state) {
   const std::string text = packed_nuclear_sample(1);
@@ -489,12 +467,8 @@ BENCHMARK(BM_ScanManySignaturesBruteForce)->Arg(10)->Arg(100)->Arg(1000);
 // Database, one warm Scratch recycled across iterations (zero heap
 // allocation per scan, asserted in tests/engine_test.cpp), event-driven
 // all-matches delivery. Directly comparable to BM_ScanManySignatures —
-// Scanner::scan routes through this plus a result-vector allocation. The
-// Automaton variant forces the prefilter's first stage onto the
-// byte-at-a-time walk (the pre-Teddy configuration); one shared body, so
-// the two rows differ ONLY in first-stage routing and their ratio is the
-// end-to-end single-stream win.
-void engine_scan_bench(benchmark::State& state, match::FirstStage stage) {
+// Scanner::scan routes through this plus a result-vector allocation.
+void BM_EngineScanManySignatures(benchmark::State& state) {
   const std::string text = packed_nuclear_sample(1);
   match::Scanner scanner;
   add_database_signatures(scanner, static_cast<std::size_t>(state.range(0)),
@@ -507,7 +481,6 @@ void engine_scan_bench(benchmark::State& state, match::FirstStage stage) {
     pf.add(i, scanner.pattern(i).required_literal());
   }
   pf.build();
-  pf.set_first_stage(stage);
   const engine::Database db =
       engine::Database::from_entries(std::move(entries), std::move(pf));
   engine::Scratch scratch;
@@ -537,19 +510,7 @@ void engine_scan_bench(benchmark::State& state, match::FirstStage stage) {
                           static_cast<int64_t>(text.size()));
 }
 
-void BM_EngineScanManySignatures(benchmark::State& state) {
-  engine_scan_bench(state, match::FirstStage::kAuto);
-}
 BENCHMARK(BM_EngineScanManySignatures)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_EngineScanManySignaturesAutomaton(benchmark::State& state) {
-  engine_scan_bench(state, match::FirstStage::kAutomaton);
-}
-BENCHMARK(BM_EngineScanManySignaturesAutomaton)
-    ->Arg(10)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000);
 
 void BM_ScanBatchParallel(benchmark::State& state) {
   // Batch fan-out across the thread pool (the CdnFilter shape): 64 packed
@@ -628,8 +589,9 @@ void BM_StreamingScanOneShot(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingScanOneShot);
 
-// Deployment-process cold start: rebuild the bundle (pattern compile +
-// automaton construction) vs load the release-time `.kpf` artifact.
+// Deployment-process cold start: compile the bundle from in-memory
+// signatures vs load it from its `.kpf` artifact. The artifact carries
+// only signatures, so the rows differ by the parse and the seal check.
 void BM_BundleColdStartBuild(benchmark::State& state) {
   const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -653,32 +615,6 @@ void BM_BundleColdStartLoad(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_BundleColdStartLoad)->Arg(100)->Arg(1000);
-
-// Same cold start through the zero-copy path: the artifact is mapped and
-// the version-2 automaton tables are used in place instead of streamed
-// into owned vectors. The file is written once; each iteration pays
-// mmap + parse-and-validate + pattern compilation (shared with the
-// istream row above, so the delta between the two rows is the copy).
-void BM_BundleColdStartLoadMmap(benchmark::State& state) {
-  const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() /
-      ("kizzle_bench_coldstart_" + std::to_string(state.range(0)) + ".kpf");
-  {
-    std::ofstream os(path, std::ios::binary);
-    core::save_artifact(os, sigs);
-  }
-  for (auto _ : state) {
-    auto mapped = std::make_shared<const support::MappedFile>(
-        support::MappedFile::open(path.string()));
-    benchmark::DoNotOptimize(
-        std::make_unique<core::SignatureBundle>(std::move(mapped)));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_BundleColdStartLoadMmap)->Arg(100)->Arg(1000);
 
 // Release motion at serving scale: re-loading the whole N-signature
 // artifact vs applying a small KZDELTA increment onto the live database.
@@ -717,9 +653,9 @@ void BM_DeployDeltaApply(benchmark::State& state) {
 }
 BENCHMARK(BM_DeployDeltaApply)->Arg(1000);
 
-// The automaton in isolation (full bundle cold start is dominated by
-// pattern compilation, which the artifact deliberately does not ship):
-// Aho–Corasick trie + BFS construction vs flat table load.
+// Prefilter derivation in isolation: the Teddy plan set (plus the
+// dense-shard automaton when a shard is dense — not on this sparse set).
+// A cold start is pattern compilation plus this row.
 void BM_PrefilterBuild(benchmark::State& state) {
   const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
   std::vector<std::string> literals;
@@ -736,25 +672,6 @@ void BM_PrefilterBuild(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_PrefilterBuild)->Arg(100)->Arg(1000);
-
-void BM_PrefilterLoad(benchmark::State& state) {
-  const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
-  match::LiteralPrefilter pf;
-  for (std::size_t i = 0; i < sigs.size(); ++i) {
-    pf.add(i, match::Pattern::compile(sigs[i].pattern).required_literal());
-  }
-  pf.build();
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  pf.serialize(blob);
-  const std::string artifact = blob.str();
-  for (auto _ : state) {
-    std::istringstream is(artifact);
-    benchmark::DoNotOptimize(match::LiteralPrefilter::load(is));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_PrefilterLoad)->Arg(100)->Arg(1000);
 
 // -------------------------- common window --------------------------
 

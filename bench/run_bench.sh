@@ -7,22 +7,19 @@
 #   BENCH_stream.json   the unified engine's steady-state scan
 #                       (BM_EngineScanManySignatures, warm Scratch), the
 #                       chunked deployment-channel scan
-#                       (BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot)
-#                       and release-artifact load vs per-process automaton
-#                       rebuild (BM_BundleColdStartLoad vs
-#                       BM_BundleColdStartBuild)
+#                       (BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot),
+#                       artifact load vs in-memory compile
+#                       (BM_BundleColdStartLoad vs BM_BundleColdStartBuild)
+#                       and prefilter derivation alone (BM_PrefilterBuild)
 #   BENCH_scan.json     single-stream scan throughput: the Teddy SIMD
-#                       literal first stage vs the forced Aho-Corasick walk
-#                       (BM_TeddyPrefilter vs BM_TeddyPrefilterAutomaton,
-#                       first stage in isolation) and the same comparison
-#                       end to end through the engine
-#                       (BM_EngineScanManySignatures vs
-#                       BM_EngineScanManySignaturesAutomaton), plus
+#                       literal first stage in isolation
+#                       (BM_TeddyPrefilter, BM_TeddyPrefilterShortLiterals)
+#                       and end to end through the engine
+#                       (BM_EngineScanManySignatures), plus
 #                       BM_ScanManySignatures for the whole-database
 #                       trajectory; also the release-motion rows gated by
-#                       --compare: zero-copy mmap cold start vs the istream
-#                       copy-in load (BM_BundleColdStartLoadMmap vs
-#                       BM_BundleColdStartLoad) and KZDELTA incremental
+#                       --compare: artifact cold start
+#                       (BM_BundleColdStartLoad) and KZDELTA incremental
 #                       apply vs full artifact reload at serving scale
 #                       (BM_DeployDeltaApply vs BM_DeployFullReload)
 #   BENCH_serve.json    the async scan service under mixed one-shot/stream
@@ -39,7 +36,7 @@
 # The headline comparisons: BM_ClusterPairwise vs BM_ClusterPairwiseScalar
 # items_per_second (unordered pairs resolved per second),
 # BM_StreamingScan bytes_per_second against the one-shot pass, and
-# BM_TeddyPrefilter bytes_per_second against the automaton baseline.
+# BM_DeployDeltaApply against BM_DeployFullReload.
 #
 # --compare checks the scan series for regressions against a baseline JSON
 # (e.g. the checked-in BENCH_scan.json or BENCH_serve.json): per shared
@@ -53,6 +50,10 @@
 set -euo pipefail
 
 SCAN_FILTER='BM_TeddyPrefilter|BM_ScanManySignatures/|BM_EngineScanManySignatures|BM_BundleColdStartLoad|BM_Deploy'
+# Every JSON records the CPUs this process may run on (google-benchmark's
+# own num_cpus counts the host's), so scaling rows read against the right
+# core count.
+CONTEXT="--benchmark_context=nproc=$(nproc)"
 
 if [[ "${1:-}" == "--compare" ]]; then
   BASELINE="${2:?usage: run_bench.sh --compare <baseline.json> [candidate.json] [tolerance]}"
@@ -65,7 +66,7 @@ if [[ "${1:-}" == "--compare" ]]; then
       exit 1
     fi
     CANDIDATE="$(mktemp "${TMPDIR:-/tmp}/bench_scan.XXXXXX.json")"
-    "$BUILD/bench_micro" --benchmark_filter="$SCAN_FILTER" \
+    "$BUILD/bench_micro" "$CONTEXT" --benchmark_filter="$SCAN_FILTER" \
       --benchmark_out="$CANDIDATE" --benchmark_out_format=json
     if [[ -x "$BUILD/bench_serve" ]]; then
       SERVE_CANDIDATE="$(mktemp "${TMPDIR:-/tmp}/bench_serve.XXXXXX.json")"
@@ -139,19 +140,19 @@ if [[ ! -x "$BUILD/bench_micro" ]]; then
   exit 1
 fi
 
-"$BUILD/bench_micro" \
+"$BUILD/bench_micro" "$CONTEXT" \
   --benchmark_filter='BM_ClusterPairwise|BM_DbscanEndToEnd|BM_TokenDbscanDay|BM_EditDistance' \
   --benchmark_out="$OUT" --benchmark_out_format=json
 
 echo "wrote $OUT"
 
-"$BUILD/bench_micro" \
-  --benchmark_filter='BM_EngineScan|BM_StreamingScan|BM_BundleColdStart|BM_PrefilterBuild|BM_PrefilterLoad' \
+"$BUILD/bench_micro" "$CONTEXT" \
+  --benchmark_filter='BM_EngineScan|BM_StreamingScan|BM_BundleColdStart|BM_PrefilterBuild' \
   --benchmark_out="$STREAM_OUT" --benchmark_out_format=json
 
 echo "wrote $STREAM_OUT"
 
-"$BUILD/bench_micro" \
+"$BUILD/bench_micro" "$CONTEXT" \
   --benchmark_filter="$SCAN_FILTER" \
   --benchmark_out="$SCAN_OUT" --benchmark_out_format=json
 

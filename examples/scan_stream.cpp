@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   // The SOC's scan loop is deployment-side code: the pipeline maintains
   // the compiled engine::Database incrementally across releases, and every
   // sample is scanned with the same recycled Scratch — the steady-state
-  // per-sample cost is one automaton pass plus candidate confirmation.
+  // per-sample cost is one first-stage pass plus candidate confirmation.
   engine::Scratch scratch;
   for (int day = kitgen::kAug1; day < kitgen::kAug1 + n_days; ++day) {
     const auto batch = sim.generate_day(day);

@@ -1,30 +1,32 @@
-// Fuzz target: the version-2 binary release formats — `.kpf` bundles
-// (KZBUNDLE, through BOTH load paths) and KZDELTA delta artifacts.
+// Fuzz target: the binary release formats — `.kpf` v3 bundles (KZBUNDLE)
+// and KZDELTA delta artifacts.
 //
 // Contract under test (support/errors.h): fed any byte string, each
 // loader either returns a valid artifact or throws a kizzle::Error
 // subclass — never UB, never unbounded allocation, never another
-// exception type. For bundles this harness is also a differential
-// oracle: the istream copy-in loader and the zero-copy std::span loader
-// must agree on accept/reject and on the loaded signature count, or the
-// two deployment paths could serve different databases from one file.
+// exception type. For bundles this harness is also a round-trip oracle:
+// whatever load_artifact accepts, save_artifact must write back into
+// bytes that load to the same signatures and the same lineage
+// fingerprint, or a re-released set would not be the set that was loaded.
 //
-// The custom mutator below is what buys coverage PAST the checksum
-// gates: random byte flips die at the whole-payload checksum with
-// probability ~1, so it parses the real header fields, mutates inside
-// the payload (lengths, section directory, table bytes, lineage
-// fingerprints) and then re-seals the checksum with the production
-// kizzle::checksum_update. It is self-contained (xorshift, no
+// The custom mutator below is what buys coverage PAST the seals: random
+// byte flips die at the whole-artifact checksum with probability ~1, so
+// it parses the real header fields and mutates inside the structure —
+// the embedded signature text (then recomputing its fingerprint when the
+// text still parses, to reach the pattern checks behind the lineage
+// gate), the declared length, the fingerprint itself, the version field
+// (v1/v2 refusal paths) — and then re-seals the checksum with the
+// production kizzle::checksum_update. It is self-contained (xorshift, no
 // LLVMFuzzerMutate) so it links under both libFuzzer and the GCC
 // standalone driver, which invokes it through a weak symbol.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/sigdb.h"
 #include "support/errors.h"
@@ -63,26 +65,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     return 0;
   }
 
-  // Everything else goes through both bundle loaders; they must agree.
-  bool stream_ok = false, span_ok = false;
-  std::size_t stream_sigs = 0, span_sigs = 0;
+  kizzle::core::BundleArtifact loaded;
   try {
     std::istringstream is(bytes);
-    stream_sigs = kizzle::core::load_artifact(is).signatures.size();
-    stream_ok = true;
+    loaded = kizzle::core::load_artifact(is);
   } catch (const kizzle::Error&) {
+    return 0;  // typed rejection
   }
-  try {
-    span_sigs =
-        kizzle::core::load_artifact(
-            std::span<const std::byte>(
-                reinterpret_cast<const std::byte*>(data), size))
-            .signatures.size();
-    span_ok = true;
-  } catch (const kizzle::Error&) {
-  }
-  if (stream_ok != span_ok || (stream_ok && stream_sigs != span_sigs)) {
-    __builtin_trap();  // the two load paths diverged on one input
+  std::ostringstream os;
+  kizzle::core::save_artifact(os, loaded.signatures);
+  std::istringstream again(os.str());
+  const kizzle::core::BundleArtifact reloaded =
+      kizzle::core::load_artifact(again);  // must not throw
+  if (reloaded.fingerprint != loaded.fingerprint ||
+      kizzle::core::save_signatures(reloaded.signatures) !=
+          kizzle::core::save_signatures(loaded.signatures)) {
+    __builtin_trap();  // the accepted set did not survive a re-release
   }
   return 0;
 }
@@ -158,52 +156,51 @@ std::size_t mutate_delta(std::uint8_t* data, std::size_t size,
   return size;
 }
 
-// KZBUNDLE v2: u64 db_len@16 | db text@24 | pad to 64 | KZPF v2 blob.
-// Inside the blob: u64 payload_size@blob+16, payload = blob[0, ps),
-// u64 checksum@blob+ps. Mutate the db text (no checksum there) or the
-// prefilter payload — registrations, section directory, table bytes —
-// then re-seal the prefilter checksum.
+// KZBUNDLE v3: u32 version@8 | u64 db_len@16 | db text@24 |
+// u64 fingerprint@24+db_len | u64 checksum over everything before it.
 std::size_t mutate_bundle(std::uint8_t* data, std::size_t size,
                           XorShift& rng) {
   const std::size_t kDbAt = 24;
-  if (size < kDbAt) return size;
+  if (size < kDbAt + 16) return size;
   const std::uint64_t db_len64 = u64_at(data + 16);
-  if (db_len64 > size - kDbAt) return size;
+  if (db_len64 > size - kDbAt - 16) {  // already hostile
+    scribble(data, 0, size, rng);
+    return size;
+  }
   const std::size_t db_len = static_cast<std::size_t>(db_len64);
-  const std::size_t blob_at =
-      kDbAt + db_len + (64 - (kDbAt + db_len) % 64) % 64;
-
-  if (blob_at >= size || rng.below(3) == 0) {
-    // The embedded signature text: parsed line-by-line, no checksum.
-    scribble(data, kDbAt, kDbAt + db_len, rng);
-    return size;
-  }
-  const std::size_t blob_size = size - blob_at;
-  std::uint8_t* blob = data + blob_at;
-  if (blob_size < 24 + 8) return size;
-  const std::uint64_t ps64 = u64_at(blob + 16);
-  if (ps64 < 24 || ps64 > blob_size - 8) {  // already hostile
-    scribble(data, blob_at, size, rng);
-    return size;
-  }
-  const std::size_t ps = static_cast<std::size_t>(ps64);
-  switch (rng.below(4)) {
-    case 0:  // header counts (n_ids, id_limit, alpha_size) at blob+24
-      put_u64(blob + 24 + 8 * rng.below(3), interesting_u64(rng));
+  const std::size_t fp_at = kDbAt + db_len;
+  switch (rng.below(5)) {
+    case 0: {  // the signature text, with a fingerprint that matches it
+      scribble(data, kDbAt, fp_at, rng);
+      try {
+        std::istringstream is(std::string(
+            reinterpret_cast<const char*>(data) + kDbAt, db_len));
+        put_u64(data + fp_at,
+                kizzle::core::fingerprint(kizzle::core::load_signatures(
+                    is, /*validate_patterns=*/false)));
+      } catch (const kizzle::Error&) {
+        // Unparsable text: leave the fingerprint stale.
+      }
       break;
-    case 1:  // early payload: alphabet map + registrations
-      scribble(blob, 48, std::min(ps, std::size_t{48} + 1024), rng);
+    }
+    case 1:  // the declared text length
+      put_u64(data + 16, interesting_u64(rng));
       break;
-    case 2:  // late payload: section directory + table bytes
-      scribble(blob, ps / 2, ps, rng);
+    case 2:  // the lineage fingerprint alone
+      put_u64(data + fp_at, rng.next());
       break;
+    case 3: {  // the version field: retired, current and future versions
+      const std::uint32_t version = static_cast<std::uint32_t>(rng.below(5));
+      std::memcpy(data + 8, &version, sizeof version);
+      break;
+    }
     default:  // stale checksum path
       scribble(data, 0, size, rng);
       return size;
   }
   std::uint64_t sum = kizzle::kChecksumBasis;
-  kizzle::checksum_update(sum, blob, ps);
-  put_u64(blob + ps, sum);
+  kizzle::checksum_update(sum, data, fp_at + 8);
+  put_u64(data + fp_at + 8, sum);
   return size;
 }
 

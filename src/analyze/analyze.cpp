@@ -1,4 +1,4 @@
-// Orchestration of the four analysis families plus report rendering.
+// Orchestration of the three analysis families plus report rendering.
 // The per-program walk lives in program.cpp (analyze::detail).
 
 #include "analyze/analyze.h"
@@ -210,7 +210,7 @@ void analyze_shards(const match::LiteralPrefilter& pf, const Options& opts,
         << " first-stage hits/byte (threshold "
         << opts.dense_shard_threshold << ")";
     if (pf.teddy_dense()) {
-      msg << "; scans route to the automaton walk";
+      msg << "; every literal walks the dense-shard automaton";
     } else {
       msg << "; the SIMD first stage is confirm-bound here";
     }
@@ -224,73 +224,6 @@ std::vector<SigRef> refs_of(std::span<const engine::Database::Entry> entries) {
   refs.reserve(entries.size());
   for (const auto& e : entries) refs.push_back(SigRef{e.name, &e.pattern});
   return refs;
-}
-
-// ---------------- artifact verification (family 4) ----------------
-
-// Rebuilds the prefilter the artifact *should* contain from its embedded
-// signature source and compares it section by section against the shipped
-// one. One finding listing every divergent section (the test contract is
-// one finding per diagnostic class per artifact).
-void verify_artifact_tables(const std::vector<engine::Database::Entry>& entries,
-                            const match::LiteralPrefilter& shipped,
-                            Report& report) {
-  match::LiteralPrefilter rebuilt;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    rebuilt.add(i, entries[i].pattern.required_literal());
-  }
-  rebuilt.build();
-
-  std::vector<std::string> bad;
-  const auto regs_a = shipped.registrations();
-  const auto regs_b = rebuilt.registrations();
-  if (regs_a.size() != regs_b.size()) {
-    bad.push_back("registration count (" + std::to_string(regs_a.size()) +
-                  " shipped vs " + std::to_string(regs_b.size()) +
-                  " recompiled)");
-  } else {
-    for (std::size_t i = 0; i < regs_a.size(); ++i) {
-      if (regs_a[i].literal != regs_b[i].literal ||
-          regs_a[i].id != regs_b[i].id) {
-        bad.push_back("registration " + std::to_string(i) + " (shipped " +
-                      quote(regs_a[i].literal) + " for id " +
-                      std::to_string(regs_a[i].id) + ", recompiled " +
-                      quote(regs_b[i].literal) + " for id " +
-                      std::to_string(regs_b[i].id) + ")");
-        break;
-      }
-    }
-  }
-  // TableView sections are spans (possibly borrowed straight from a
-  // mapped artifact on the shipped side) — compare contents, not storage.
-  const auto ta = shipped.tables();
-  const auto tb = rebuilt.tables();
-  const auto differs = [](auto a, auto b) {
-    return !std::equal(a.begin(), a.end(), b.begin(), b.end());
-  };
-  if (ta.alpha_size != tb.alpha_size || *ta.alpha != *tb.alpha) {
-    bad.push_back("reduced alphabet");
-  }
-  if (differs(ta.next, tb.next)) bad.push_back("goto table");
-  if (differs(ta.out_link, tb.out_link)) bad.push_back("output links");
-  if (differs(ta.out_begin, tb.out_begin) || differs(ta.out_end, tb.out_end) ||
-      differs(ta.out_ids, tb.out_ids)) {
-    bad.push_back("output sets");
-  }
-  if (differs(ta.fallback, tb.fallback)) bad.push_back("fallback list");
-  if (ta.n_ids != tb.n_ids || ta.id_limit != tb.id_limit) {
-    bad.push_back("id space");
-  }
-  if (bad.empty()) return;
-
-  std::string sections = bad[0];
-  for (std::size_t i = 1; i < bad.size(); ++i) sections += "; " + bad[i];
-  add_finding(report, Check::kArtifactMismatch, Severity::kError, kNoSig, "",
-              "shipped prefilter disagrees with a recompilation of the "
-              "embedded signature source: " +
-                  sections +
-                  " — compiler-version skew or tampered tables (the bundle "
-                  "checksum cannot catch either)");
 }
 
 }  // namespace
@@ -321,33 +254,10 @@ Report analyze_candidate(const engine::Database& db, std::string_view name,
 }
 
 Report analyze_artifact(std::istream& is, const Options& opts) {
-  core::BundleArtifact art = core::load_artifact(is, /*validate_patterns=*/false);
-  Report report;
-  std::vector<engine::Database::Entry> entries;
-  entries.reserve(art.signatures.size());
-  for (std::size_t i = 0; i < art.signatures.size(); ++i) {
-    const core::DeployedSignature& sig = art.signatures[i];
-    try {
-      entries.push_back(engine::Database::Entry{
-          sig.name, sig.family, match::Pattern::compile(sig.pattern)});
-    } catch (const match::PatternError& e) {
-      // The embedded source does not compile with this binary's compiler:
-      // the shipped tables cannot be its compilation.
-      add_finding(report, Check::kArtifactMismatch, Severity::kError, i,
-                  sig.name,
-                  std::string("embedded pattern does not compile: ") +
-                      e.what());
-    }
-  }
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    analyze_signature(i, entries[i].name, entries[i].pattern, opts, report);
-  }
-  analyze_cross(refs_of(entries), 0, report);
-  analyze_shards(art.prefilter, opts, report);
-  if (opts.verify_artifact && entries.size() == art.signatures.size()) {
-    verify_artifact_tables(entries, art.prefilter, report);
-  }
-  return report;
+  // Validating load: an embedded pattern that does not compile is a
+  // malformed bundle (InputError), like any other loader failure.
+  const core::BundleArtifact art = core::load_artifact(is);
+  return analyze_database(engine::Database::compile(art.signatures), opts);
 }
 
 Report analyze_delta(const engine::Database& base,
@@ -470,8 +380,6 @@ const char* check_name(Check c) {
       return "duplicate-signature";
     case Check::kDeadSignature:
       return "dead-signature";
-    case Check::kArtifactMismatch:
-      return "artifact-mismatch";
     case Check::kDeltaLineage:
       return "delta-lineage";
   }

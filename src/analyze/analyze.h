@@ -4,11 +4,11 @@
 // than kits mutate (paper §I), which cuts the human out of the release
 // loop: a bad signature ships to every worker before anyone reads it. This
 // module is the pre-deployment gate that reads it instead. It operates on
-// the *compiled* artifacts — match::detail::Program instruction graphs,
-// teddy::PlanSet shuffle masks, LiteralPrefilter tables — not on regex
+// the *compiled* forms — match::detail::Program instruction graphs,
+// teddy::PlanSet shuffle masks and dense-shard routing — not on regex
 // source, so what it certifies is what the scan path actually executes.
 //
-// Four analysis families, one Report:
+// Three analysis families, one Report:
 //
 //   VM program analysis (program.cpp) — walks each pattern's compiled
 //     Instr graph. Unbounded repetitions are the only construct that emits
@@ -37,14 +37,10 @@
 //     every accepting path requires a byte normalize_raw strips (the
 //     scan path only ever sees normalized text).
 //
-//   Artifact verification (analyze_artifact) — diverse-double-compile in
-//     miniature (Wheeler): the `.kpf`'s embedded signature source is
-//     recompiled with this binary's compiler and the resulting prefilter
-//     is structurally compared — registrations, reduced alphabet, goto/
-//     output tables, fallback list — against the shipped tables. The
-//     bundle checksum only proves the bytes arrived intact; this proves
-//     they are the compilation of the source they claim to be, catching
-//     compiler-version skew and post-build tampering alike.
+// A `.kpf` artifact holds only signature source (core/sigdb.h), and every
+// process compiles what it scans from that source, so there are no
+// shipped tables that could diverge from it: analyze_artifact lints the
+// compiled database exactly like analyze_database.
 //
 // Surfaces: `kizzle lint <artifact|sigdb>` (text or --json, nonzero exit
 // on error-severity findings, for CI gating) and the KizzlePipeline
@@ -77,16 +73,15 @@ enum class Check : std::uint8_t {
   kShadowedSignature,    // an earlier pure-literal signature always wins
   kDuplicateSignature,   // identical pattern source issued twice
   kDeadSignature,        // requires bytes normalized text can never hold
-  kArtifactMismatch,     // shipped tables != recompiled embedded source
   kDeltaLineage,         // delta fingerprints/indices disagree with base
 };
 
-// Findings not tied to one signature (dense shards, artifact sections)
-// carry this sig_index.
+// Findings not tied to one signature (dense shards, delta lineage) carry
+// this sig_index.
 inline constexpr std::size_t kNoSig = static_cast<std::size_t>(-1);
 
 struct Finding {
-  Check check = Check::kArtifactMismatch;
+  Check check = Check::kBacktrackingBomb;
   Severity severity = Severity::kInfo;
   std::size_t sig_index = kNoSig;  // index into the analyzed set
   std::string signature;           // its name; empty for database-wide
@@ -105,9 +100,6 @@ struct Options {
   // A required literal whose *best* window still has this expected
   // per-byte hit rate under the byte prior is reported as common.
   double common_window_threshold = 1e-3;
-  // Recompile an artifact's embedded source and structurally compare the
-  // prefilter tables (analyze_artifact only).
-  bool verify_artifact = true;
 };
 
 struct Report {
@@ -133,11 +125,11 @@ Report analyze_candidate(const engine::Database& db, std::string_view name,
                          const match::Pattern& candidate,
                          const Options& opts = {});
 
-// Lints a `.kpf` bundle: loads it, lints the embedded database, and — per
-// Options::verify_artifact — recompiles the embedded source and compares
-// the shipped prefilter tables section by section. Malformed bundles
-// throw the loader's kizzle::Error taxonomy (they are not findings: a
-// bundle that fails to parse never reaches deployment anyway).
+// Lints a `.kpf` bundle: loads it, compiles the embedded signatures and
+// lints the result as analyze_database does. Malformed bundles — embedded
+// patterns that do not compile included — throw the loader's
+// kizzle::Error taxonomy (they are not findings: a bundle that fails to
+// load never reaches deployment anyway).
 Report analyze_artifact(std::istream& is, const Options& opts = {});
 
 // Lints a `KZDELTA` delta artifact against the live base it would be

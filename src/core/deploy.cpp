@@ -20,10 +20,6 @@ SignatureBundle::SignatureBundle(
 SignatureBundle::SignatureBundle(std::istream& artifact)
     : db_(engine::Database::from_artifact(artifact, &infos_)) {}
 
-SignatureBundle::SignatureBundle(
-    std::shared_ptr<const support::MappedFile> artifact)
-    : db_(engine::Database::from_artifact(std::move(artifact), &infos_)) {}
-
 std::optional<std::size_t> SignatureBundle::match(
     std::string_view normalized) const {
   // Events arrive in ascending index order, so the first event IS the
@@ -233,7 +229,7 @@ BrowserGate::ScriptStream::ScriptStream(BrowserGate* gate)
 void BrowserGate::ScriptStream::feed(std::string_view chunk) {
   raw_ += chunk;
   // Raw normalization is per-byte, so it streams chunk by chunk; the
-  // automaton state carries across the boundary inside the engine stream.
+  // first-stage state carries across the boundary inside the engine stream.
   stage_.clear();
   text::normalize_raw_append(chunk, stage_);
   stream_.feed(stage_);

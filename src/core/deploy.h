@@ -22,7 +22,7 @@
 //                 a content-hash LRU — the common case must cost a hash
 //                 lookup, not a scan. Scripts that arrive from the network
 //                 in pieces go through begin_script()/feed()/finish(): the
-//                 engine stream carries the automaton state across chunk
+//                 engine stream carries the first-stage state across chunk
 //                 boundaries, so by end of transfer only candidate
 //                 confirmation is left.
 //   DesktopScanner  scans whole files written to disk (browser caches);
@@ -70,16 +70,9 @@ class SignatureBundle {
  public:
   explicit SignatureBundle(const std::vector<DeployedSignature>& signatures);
 
-  // Loads a `.kpf` bundle artifact (core/sigdb.h): the signature set plus
-  // the release-time prebuilt prefilter, skipping the per-process
-  // automaton rebuild. Throws std::runtime_error on malformed input.
+  // Loads and compiles a `.kpf` bundle artifact (core/sigdb.h). Throws
+  // the loader's kizzle::Error taxonomy on malformed input.
   explicit SignatureBundle(std::istream& artifact);
-
-  // Zero-copy variant over a mapped artifact: the engine database borrows
-  // its automaton tables from the mapping (engine::Database::from_artifact
-  // mapped overload) and keeps it alive for the bundle's lifetime.
-  explicit SignatureBundle(
-      std::shared_ptr<const support::MappedFile> artifact);
 
   // The compiled engine database: scan it with engine::scan /
   // engine::open_stream and a Scratch of your own.

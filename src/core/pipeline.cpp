@@ -75,9 +75,7 @@ std::optional<std::size_t> KizzlePipeline::scan_as_of(
 }
 
 void KizzlePipeline::export_artifact(std::ostream& os) const {
-  // The automaton maintained across deployments is the release build (an
-  // empty database still carries a built-but-empty automaton).
-  save_artifact(os, signatures_, &db_.prefilter());
+  save_artifact(os, signatures_);
 }
 
 void KizzlePipeline::export_delta(std::ostream& os, int base_day) const {

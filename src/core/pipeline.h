@@ -159,11 +159,9 @@ class KizzlePipeline {
   // signatures(). Invalidated by the next process_day that deploys.
   const engine::Database& database() const { return db_; }
 
-  // Persists the deployed signature set together with its already-built
-  // literal prefilter as a `.kpf` bundle artifact (core/sigdb.h): the
-  // automaton is built once here, at signature-release time, and the
-  // deployment channels load it (SignatureBundle's istream constructor)
-  // instead of rebuilding per process.
+  // Persists the deployed signature set as a `.kpf` bundle artifact
+  // (core/sigdb.h); the deployment channels compile it at load
+  // (SignatureBundle's istream constructor).
   void export_artifact(std::ostream& os) const;
 
   // Persists the *increment* since `base_day` as a `KZDELTA` delta

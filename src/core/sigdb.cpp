@@ -127,14 +127,15 @@ constexpr std::uint32_t kArtifactEndianSentinel = 0x01020304u;
 
 // Fixed bundle header: magic(8) + version(4) + endian(4) + db_len(8).
 constexpr std::size_t kBundleHeaderBytes = 24;
-// Section alignment of the prefilter v2 blob; the v2 bundle zero-pads the
-// embedded text database so the blob starts on this boundary relative to
-// the artifact start (and hence, for a mapped file, in memory).
-constexpr std::size_t kBundleAlign = 64;
 
 template <typename T>
 void put_raw(std::ostream& os, T v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+template <typename T>
+void put_raw(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
 template <typename T>
@@ -145,137 +146,59 @@ T get_raw(std::istream& is) {
   return v;
 }
 
-// Cap on the embedded text database. Tighter than the old 4 GiB check:
-// kMaxSignatureCount lines of kMaxSignatureLineBytes is the most the text
-// loader would accept anyway, so anything larger is rejected before the
-// buffer for it is allocated.
+// Cap on the embedded text database: kMaxSignatureCount lines of
+// kMaxSignatureLineBytes is the most the text loader would accept anyway,
+// so anything larger is rejected before the buffer for it is allocated.
 constexpr std::uint64_t kMaxEmbeddedDbBytes = 1ull << 30;  // 1 GiB
-
-std::size_t bundle_pad(std::uint64_t db_len) {
-  const std::uint64_t end = kBundleHeaderBytes + db_len;
-  return static_cast<std::size_t>((kBundleAlign - end % kBundleAlign) %
-                                  kBundleAlign);
-}
 
 }  // namespace
 
 void save_artifact(std::ostream& os,
                    const std::vector<DeployedSignature>& signatures,
-                   const match::LiteralPrefilter* prebuilt,
-                   std::uint32_t version) {
-  if (version != 1 && version != 2) {
-    throw std::invalid_argument("save_artifact: unsupported version " +
-                                std::to_string(version));
-  }
-  match::LiteralPrefilter local;
-  if (prebuilt == nullptr) {
-    for (std::size_t i = 0; i < signatures.size(); ++i) {
-      local.add(i,
-                match::Pattern::compile(signatures[i].pattern)
-                    .required_literal());
-    }
-    local.build();
-    prebuilt = &local;
-  }
-  if (!prebuilt->built() || prebuilt->id_count() != signatures.size()) {
-    throw std::invalid_argument(
-        "save_artifact: prefilter does not cover the signature set");
-  }
-  os.write(kArtifactMagic.data(),
-           static_cast<std::streamsize>(kArtifactMagic.size()));
-  put_raw<std::uint32_t>(os, version);
-  put_raw<std::uint32_t>(os, kArtifactEndianSentinel);
+                   const match::LiteralPrefilter* /*prebuilt*/) {
   const std::string db = save_signatures(signatures);
-  put_raw<std::uint64_t>(os, db.size());
-  os.write(db.data(), static_cast<std::streamsize>(db.size()));
-  if (version == 2) {
-    // Zero pad so the prefilter blob starts 64-byte aligned relative to
-    // the artifact start; load_artifact(span) relies on this to hand the
-    // blob's table sections out as views into a mapped file.
-    static constexpr char zeros[kBundleAlign] = {};
-    os.write(zeros, static_cast<std::streamsize>(bundle_pad(db.size())));
-  }
-  prebuilt->serialize(os, version);
+  std::string bytes;
+  bytes.reserve(kBundleHeaderBytes + db.size() + 16);
+  bytes.append(kArtifactMagic);
+  put_raw<std::uint32_t>(bytes, kArtifactVersion);
+  put_raw<std::uint32_t>(bytes, kArtifactEndianSentinel);
+  put_raw<std::uint64_t>(bytes, db.size());
+  bytes.append(db);
+  put_raw<std::uint64_t>(bytes, fingerprint(signatures));
+  std::uint64_t sum = kChecksumBasis;
+  checksum_update(sum, bytes.data(), bytes.size());
+  put_raw<std::uint64_t>(bytes, sum);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!os) throw std::runtime_error("save_artifact: write failed");
 }
 
-namespace {
-
-BundleArtifact finish_artifact(std::vector<DeployedSignature> signatures,
-                               match::LiteralPrefilter prefilter) {
-  if (prefilter.id_count() != signatures.size()) {
-    throw ArtifactError(
-        "load_artifact: prefilter id count disagrees with signature list");
-  }
-  BundleArtifact out;
-  out.signatures = std::move(signatures);
-  out.prefilter = std::move(prefilter);
-  return out;
-}
-
-}  // namespace
-
 BundleArtifact load_artifact(std::istream& is, bool validate_patterns) {
-  char magic[8];
-  is.read(magic, sizeof magic);
-  if (!is || std::string_view(magic, sizeof magic) != kArtifactMagic) {
-    throw ArtifactError("load_artifact: bad magic");
-  }
-  const auto version = get_raw<std::uint32_t>(is);
-  if (version != 1 && version != 2) {
-    throw ArtifactError("load_artifact: unsupported format version " +
-                        std::to_string(version));
-  }
-  const auto endian = get_raw<std::uint32_t>(is);
-  if (endian != kArtifactEndianSentinel) {
-    throw ArtifactError(
-        "load_artifact: artifact endianness does not match this host");
-  }
-  const auto db_len = get_raw<std::uint64_t>(is);
-  if (db_len > kMaxEmbeddedDbBytes) {
-    throw ResourceError(
-        "load_artifact: declared database size " + std::to_string(db_len) +
-        " exceeds the " + std::to_string(kMaxEmbeddedDbBytes) + "-byte cap");
-  }
-  std::string db(static_cast<std::size_t>(db_len), '\0');
-  is.read(db.data(), static_cast<std::streamsize>(db.size()));
-  if (!is) throw ArtifactError("load_artifact: truncated artifact");
-  if (version == 2) {
-    char pad[kBundleAlign];
-    is.read(pad, static_cast<std::streamsize>(bundle_pad(db_len)));
-    if (!is) throw ArtifactError("load_artifact: truncated artifact");
-  }
-
-  std::istringstream db_is(db);
-  std::vector<DeployedSignature> signatures =
-      load_signatures(db_is, validate_patterns);
-  return finish_artifact(std::move(signatures),
-                         match::LiteralPrefilter::load(is));
-}
-
-BundleArtifact load_artifact(std::span<const std::byte> blob,
-                             bool validate_patterns) {
-  if (blob.size() < kBundleHeaderBytes) {
+  std::string bytes(kBundleHeaderBytes, '\0');
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!is) {
     throw ArtifactError("load_artifact: truncated artifact");
   }
-  if (std::memcmp(blob.data(), kArtifactMagic.data(), kArtifactMagic.size()) !=
-      0) {
+  if (bytes.compare(0, 4, "KZPF") == 0) {
+    throw ArtifactError(
+        "load_artifact: bare KZPF prefilter blob; prefilter tables are no "
+        "longer shipped — repack the signatures with `kizzle pack`");
+  }
+  if (bytes.compare(0, kArtifactMagic.size(), kArtifactMagic) != 0) {
     throw ArtifactError("load_artifact: bad magic");
   }
   std::uint32_t version = 0;
   std::uint32_t endian = 0;
   std::uint64_t db_len = 0;
-  std::memcpy(&version, blob.data() + 8, 4);
-  std::memcpy(&endian, blob.data() + 12, 4);
-  std::memcpy(&db_len, blob.data() + 16, 8);
-  if (version == 1) {
-    // Legacy layout has unaligned, field-granular table serialization; no
-    // zero-copy path exists for it. Replay through the stream loader.
-    std::istringstream is(
-        std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
-    return load_artifact(is, validate_patterns);
+  std::memcpy(&version, bytes.data() + 8, 4);
+  std::memcpy(&endian, bytes.data() + 12, 4);
+  std::memcpy(&db_len, bytes.data() + 16, 8);
+  if (version == 1 || version == 2) {
+    throw ArtifactError(
+        "load_artifact: format version " + std::to_string(version) +
+        " carried prebuilt prefilter tables and is no longer accepted — "
+        "repack the signatures with `kizzle pack`");
   }
-  if (version != 2) {
+  if (version != kArtifactVersion) {
     throw ArtifactError("load_artifact: unsupported format version " +
                         std::to_string(version));
   }
@@ -288,21 +211,29 @@ BundleArtifact load_artifact(std::span<const std::byte> blob,
         "load_artifact: declared database size " + std::to_string(db_len) +
         " exceeds the " + std::to_string(kMaxEmbeddedDbBytes) + "-byte cap");
   }
-  const std::uint64_t blob_off =
-      kBundleHeaderBytes + db_len + bundle_pad(db_len);
-  if (blob_off > blob.size()) {
-    throw ArtifactError("load_artifact: truncated artifact");
+  // The text and the fingerprint behind it, then the seal over all of it.
+  bytes.resize(kBundleHeaderBytes + static_cast<std::size_t>(db_len) + 8);
+  is.read(bytes.data() + kBundleHeaderBytes,
+          static_cast<std::streamsize>(bytes.size() - kBundleHeaderBytes));
+  if (!is) throw ArtifactError("load_artifact: truncated artifact");
+  const auto stored_sum = get_raw<std::uint64_t>(is);
+  std::uint64_t sum = kChecksumBasis;
+  checksum_update(sum, bytes.data(), bytes.size());
+  if (sum != stored_sum) {
+    throw ArtifactError("load_artifact: checksum mismatch (corrupt artifact)");
   }
 
-  std::istringstream db_is(std::string(
-      reinterpret_cast<const char*>(blob.data()) + kBundleHeaderBytes,
-      static_cast<std::size_t>(db_len)));
-  std::vector<DeployedSignature> signatures =
-      load_signatures(db_is, validate_patterns);
-  return finish_artifact(
-      std::move(signatures),
-      match::LiteralPrefilter::load(
-          blob.subspan(static_cast<std::size_t>(blob_off))));
+  BundleArtifact out;
+  std::memcpy(&out.fingerprint, bytes.data() + bytes.size() - 8, 8);
+  bytes.resize(bytes.size() - 8);
+  std::istringstream db_is(bytes.substr(kBundleHeaderBytes));
+  out.signatures = load_signatures(db_is, validate_patterns);
+  if (fingerprint(out.signatures) != out.fingerprint) {
+    throw ArtifactError(
+        "load_artifact: embedded signatures do not reproduce the recorded "
+        "fingerprint");
+  }
+  return out;
 }
 
 // ---------------------------- delta artifact -----------------------------

@@ -14,27 +14,24 @@
 //
 // Next to the text database there are two binary release formats, both
 // little-endian, both sealed with the shared checksum primitive
-// (kizzle::checksum_update, one pass over the whole payload):
+// (kizzle::checksum_update, one pass over the whole sealed range):
 //
-// *Bundle artifact* (`.kpf`, magic "KZBUNDLE", version 2): the signature
-// set plus the pre-built Aho–Corasick literal prefilter over it, produced
-// once at signature-release time (`kizzle pack`, or
-// KizzlePipeline::export_artifact) so deployment processes load the
-// frozen automaton instead of each rebuilding it. Layout:
+// *Bundle artifact* (`.kpf`, magic "KZBUNDLE", version 3): a full
+// signature set and its lineage — nothing derived. Every process compiles
+// its matcher (patterns, Teddy plan set, dense-shard automaton) from the
+// embedded source at load, deterministically, so what a deployment runs
+// is by construction the compilation of what was released; no prebuilt
+// table can disagree with its source. Layout:
 //
-//   "KZBUNDLE"(8) | u32 version=2 | u32 endian 0x01020304 |
-//   u64 db_len | db text bytes | zero pad to a 64-byte boundary
-//   (relative to the artifact start) | prefilter blob
-//   (LiteralPrefilter::serialize v2: aligned, length-prefixed table
-//   sections + its own single-pass checksum trailer)
+//   "KZBUNDLE"(8) | u32 version=3 | u32 endian 0x01020304 |
+//   u64 db_len | db text (save_signatures format) |
+//   u64 fingerprint (core::fingerprint of the set) |
+//   u64 checksum (single pass over every preceding byte)
 //
-// The pad exists so that when the artifact is mapped from disk the
-// prefilter's table sections land on 64-byte boundaries and the loader
-// can point std::span views straight into the mapping (zero-copy) instead
-// of copying megabytes of automaton tables. load_artifact(span) is that
-// path; the istream overload still accepts version-1 artifacts
-// (unaligned, per-field checksum granularity) for bundles packed by older
-// releases.
+// Versions 1 and 2 shipped prebuilt prefilter tables ("KZPF" blobs) next
+// to the text; loading the tables was no cheaper than deriving them, so
+// they are gone, and those artifacts (like bare KZPF blobs) are refused
+// with a typed ArtifactError — repack the signatures with `kizzle pack`.
 //
 // *Delta artifact* (`.kzd`, magic "KZDELTAF", version 1): an incremental
 // update from one deployed signature set to the next — the daily Kizzle
@@ -58,8 +55,9 @@
 // applying, so out-of-order or cross-lineage deltas cannot silently
 // corrupt a deployment.
 //
-// Version policy mirrors the prefilter's: any layout change bumps the
-// version, loaders reject unknown versions and foreign endianness.
+// Version policy: any layout change bumps the version; loaders accept
+// exactly the current version and reject every other one, and foreign
+// endianness, with ArtifactError.
 // All loaders run on untrusted bytes and throw the kizzle typed-error
 // taxonomy (support/errors.h): InputError for unparsable text (messages
 // carry line number AND byte offset), ArtifactError for a malformed
@@ -73,6 +71,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -108,41 +107,27 @@ std::vector<DeployedSignature> load_signatures(std::istream& is,
 // ---------------------------- bundle artifact ----------------------------
 
 inline constexpr std::string_view kArtifactMagic = "KZBUNDLE";
-inline constexpr std::uint32_t kArtifactVersion = 2;
+inline constexpr std::uint32_t kArtifactVersion = 3;
 
 struct BundleArtifact {
   std::vector<DeployedSignature> signatures;
-  match::LiteralPrefilter prefilter;  // built, ids == signature indices
+  std::uint64_t fingerprint = 0;  // == fingerprint(signatures), verified
 };
 
-// Writes signatures + prefilter as one deployable artifact. `prebuilt`
-// must register exactly one id per signature (its index); pass nullptr to
-// have the prefilter compiled and built here from the signature patterns.
-// `version` selects the on-disk layout: 2 (default, aligned/zero-copy) or
-// 1 (legacy, for compatibility testing against old loaders).
+// Writes a signature set as one deployable artifact. `prebuilt` is
+// accepted for source compatibility and ignored: no matcher state is
+// shipped.
 void save_artifact(std::ostream& os,
                    const std::vector<DeployedSignature>& signatures,
-                   const match::LiteralPrefilter* prebuilt = nullptr,
-                   std::uint32_t version = kArtifactVersion);
+                   const match::LiteralPrefilter* prebuilt = nullptr);
 
-// Parses an artifact back; the returned prefilter is ready to scan without
-// a rebuild. Throws kizzle::ArtifactError on malformed/corrupt/mismatched
-// input (including a prefilter whose id count disagrees with the
-// signature list) and kizzle::ResourceError on implausible declared
-// sizes. `validate_patterns` as in load_signatures. Accepts version 1 and
-// version 2 artifacts.
+// Parses an artifact back. Throws kizzle::ArtifactError on malformed,
+// corrupt or foreign-version input (v1/v2 bundles and bare KZPF blobs
+// included) and when the embedded set does not reproduce its recorded
+// fingerprint, kizzle::ResourceError on implausible declared sizes, and
+// load_signatures' errors for the embedded text. `validate_patterns` as in
+// load_signatures.
 BundleArtifact load_artifact(std::istream& is, bool validate_patterns = true);
-
-// Zero-copy overload over a byte range, typically a support::MappedFile.
-// For a version-2 artifact whose mapping starts 64-byte aligned (mmap
-// returns page-aligned addresses, so any mapped file qualifies), the
-// returned prefilter's automaton tables are std::span views INTO `blob` —
-// the caller must keep the underlying bytes alive and unmodified for the
-// lifetime of the returned object (engine::Database does this by holding
-// the MappedFile in a shared_ptr). Version-1 artifacts and misaligned
-// ranges fall back to owned copies with identical semantics.
-BundleArtifact load_artifact(std::span<const std::byte> blob,
-                             bool validate_patterns = true);
 
 // ---------------------------- delta artifact -----------------------------
 

@@ -6,14 +6,13 @@
 #include "core/sigdb.h"
 #include "support/errors.h"
 #include "support/hash.h"
-#include "support/mapped_file.h"
 
 namespace kizzle::engine {
 
 // ------------------------------ database ------------------------------
 
 Database::Database() {
-  // An empty automaton is still a built automaton: scans on an empty
+  // An empty prefilter is still a built prefilter: scans on an empty
   // database are legal and deliver nothing.
   prefilter_.build();
   refresh_fingerprint();
@@ -87,23 +86,6 @@ Database Database::from_entries(std::vector<Entry> entries,
   return db;
 }
 
-namespace {
-
-// Compiles a loaded signature list into entries without the loader's trial
-// compilation (a bad pattern still throws here).
-std::vector<Database::Entry> compile_entries(
-    const std::vector<core::DeployedSignature>& signatures) {
-  std::vector<Database::Entry> entries;
-  entries.reserve(signatures.size());
-  for (const core::DeployedSignature& s : signatures) {
-    entries.push_back(
-        Database::Entry{s.name, s.family, match::Pattern::compile(s.pattern)});
-  }
-  return entries;
-}
-
-}  // namespace
-
 Database Database::from_artifact(
     std::istream& artifact,
     std::vector<core::DeployedSignature>* signatures_out) {
@@ -111,28 +93,8 @@ Database Database::from_artifact(
   // real right below (and a bad one still throws).
   core::BundleArtifact loaded =
       core::load_artifact(artifact, /*validate_patterns=*/false);
-  std::vector<Entry> entries = compile_entries(loaded.signatures);
+  Database db = compile(loaded.signatures);
   if (signatures_out != nullptr) *signatures_out = std::move(loaded.signatures);
-  // The release-time automaton, exactly as built by `kizzle pack` /
-  // KizzlePipeline::export_artifact — no per-process rebuild.
-  return from_entries(std::move(entries), std::move(loaded.prefilter));
-}
-
-Database Database::from_artifact(
-    std::shared_ptr<const support::MappedFile> mapping,
-    std::vector<core::DeployedSignature>* signatures_out) {
-  if (mapping == nullptr) {
-    throw ArtifactError("engine::Database::from_artifact: null mapping");
-  }
-  core::BundleArtifact loaded =
-      core::load_artifact(mapping->bytes(), /*validate_patterns=*/false);
-  std::vector<Entry> entries = compile_entries(loaded.signatures);
-  if (signatures_out != nullptr) *signatures_out = std::move(loaded.signatures);
-  Database db = from_entries(std::move(entries), std::move(loaded.prefilter));
-  // The prefilter's tables may be views into the mapping (zero-copy v2
-  // path) — pin it for the database's lifetime. Harmless when the loader
-  // fell back to owned copies (v1 artifact, misaligned range).
-  db.mapping_ = std::move(mapping);
   return db;
 }
 
@@ -178,9 +140,9 @@ Database Database::extend(const core::DeltaArtifact& delta) const {
     out.entries_.push_back(
         Entry{s.name, s.family, match::Pattern::compile(s.pattern)});
   }
-  // Retired slots keep their index in the rebuilt automaton (candidate ids
-  // stay lineage indices); the confirmation loop is the single choke point
-  // that drops them.
+  // Retired slots keep their index in the rebuilt prefilter (candidate
+  // ids stay lineage indices); the confirmation loop is the single choke
+  // point that drops them.
   out.build_prefilter();
   out.refresh_fingerprint();
   if (out.fingerprint_ != delta.result_fingerprint) {

@@ -9,8 +9,8 @@
 // seam they now share:
 //
 //   engine::Database   immutable compiled form of a signature set: the
-//                      compiled patterns plus the shared Aho–Corasick
-//                      literal prefilter. Built once (from specs, deployed
+//                      compiled patterns plus the shared literal
+//                      prefilter. Built once (from specs, deployed
 //                      signatures, precompiled entries, or a `.kpf`
 //                      release artifact) and then shared read-only by any
 //                      number of threads.
@@ -29,7 +29,7 @@
 //                      experiments) are the same code path — they differ
 //                      only in what the callback returns.
 //   open_stream()      resumable scanning for text that arrives in chunks:
-//                      the prefilter automaton streams over each piece
+//                      the prefilter's first stage streams over each piece
 //                      (state carried across boundaries), finish() confirms
 //                      only the candidates against the accumulated text.
 //
@@ -74,7 +74,7 @@
 // the same zero-allocation hot path (asserted in tests/limits_test.cpp).
 //
 // Failures *outside* the scan path — malformed `.kpf` artifacts, corrupt
-// serialized prefilters, unparsable signature databases — throw the typed
+// deltas, unparsable signature databases — throw the typed
 // taxonomy in support/errors.h (ArtifactError / InputError /
 // ResourceError, all kizzle::Error, all std::runtime_error) instead of
 // ad-hoc runtime_errors: loaders reject hostile bytes with a clean typed
@@ -105,10 +105,6 @@
 namespace kizzle::core {
 struct DeployedSignature;
 struct DeltaArtifact;
-}
-
-namespace kizzle::support {
-class MappedFile;
 }
 
 namespace kizzle::engine {
@@ -225,25 +221,20 @@ class Database {
   static Database compile(const std::vector<core::DeployedSignature>& sigs);
   // Adopts precompiled entries and builds the prefilter over them.
   static Database from_entries(std::vector<Entry> entries);
-  // Adopts precompiled entries plus a release-time prebuilt automaton
-  // (skipping the per-process rebuild). Throws std::runtime_error if the
-  // automaton's id count disagrees with the entry list.
+  // Adopts precompiled entries plus a prefilter the caller built over
+  // them (ids == entry indices). Throws kizzle::ArtifactError if it is
+  // unbuilt or its id count disagrees with the entry list.
   static Database from_entries(std::vector<Entry> entries,
                                match::LiteralPrefilter prebuilt);
-  // Loads a `.kpf` bundle artifact (core/sigdb.h): signatures plus the
-  // release-built automaton. Throws std::runtime_error on malformed input.
-  // When `signatures_out` is non-null it receives the deployment metadata
+  // Loads a `.kpf` bundle artifact (core/sigdb.h) and compiles it: the
+  // artifact holds only signatures, so this is compile() over the loaded
+  // set — deterministic, and the same cost as any cold start. Throws the
+  // loader's kizzle::Error taxonomy on malformed input, and
+  // match::PatternError for a pattern this binary cannot compile. When
+  // `signatures_out` is non-null it receives the deployment metadata
   // (issued day, token length) the database itself does not retain.
   static Database from_artifact(
       std::istream& artifact,
-      std::vector<core::DeployedSignature>* signatures_out = nullptr);
-  // Zero-copy variant over a mapped `.kpf` file: for a version-2 artifact
-  // the prefilter's automaton tables are views into the mapping, which the
-  // database keeps alive (shared_ptr) for its own lifetime — cold-start
-  // load cost becomes parse-and-validate instead of copy-everything, and
-  // concurrent loaders of the same artifact share page-cache pages.
-  static Database from_artifact(
-      std::shared_ptr<const support::MappedFile> mapping,
       std::vector<core::DeployedSignature>* signatures_out = nullptr);
 
   // A database holding this database's entries plus `extra`, with the
@@ -254,7 +245,9 @@ class Database {
 
   // Applies a delta artifact (core/sigdb.h): tombstones `delta.retired`
   // and appends `delta.added`, compiling ONLY the added patterns (existing
-  // compiled programs are shared). Lineage is enforced both ways: throws
+  // compiled programs are shared) plus the prefilter's plan set — the cost
+  // is O(changed) pattern compiles, with no automaton unless a shard is
+  // dense. Lineage is enforced both ways: throws
   // kizzle::ArtifactError if `delta.base_fingerprint` does not match this
   // database's fingerprint(), or if the applied result does not reproduce
   // `delta.result_fingerprint`. The prefilter is rebuilt over all
@@ -294,10 +287,6 @@ class Database {
   std::vector<unsigned char> retired_;
   std::size_t retired_count_ = 0;
   std::uint64_t fingerprint_ = 0;
-  // Keepalive for the zero-copy load path: when the prefilter's tables
-  // are views into a mapped artifact, the mapping must outlive them. Null
-  // for owning databases.
-  std::shared_ptr<const support::MappedFile> mapping_;
 };
 
 // ------------------------------- scratch -------------------------------
@@ -306,7 +295,7 @@ class Stream;
 
 // Per-thread (or per in-flight document) mutable scan state. Everything a
 // scan needs to allocate lives here and is recycled across calls: the
-// candidate list, the streaming automaton cursor, the accumulated
+// candidate list, the streaming first-stage cursor, the accumulated
 // normalized text, and the VM's backtracking buffers. A Scratch may be
 // used with any number of databases over its lifetime (buffers re-size on
 // first contact with a larger database, then stabilize). Not thread-safe:
@@ -411,7 +400,7 @@ std::optional<MatchEvent> first_match(const Database& db, std::string_view text,
 class Stream {
  public:
   // Consumes the next chunk of (already normalized) scan text: streams the
-  // prefilter automaton over it and accumulates it for confirmation.
+  // prefilter's first stage over it and accumulates it for confirmation.
   void feed(std::string_view normalized_chunk);
 
   // Confirms the candidates seen so far against the accumulated text.

@@ -23,9 +23,9 @@
 //   per-pattern   search() memmem-locates this pattern's required_literal()
 //                 and only runs the VM around its occurrences; absent
 //                 literal → immediate no-match, no VM steps charged.
-//   per-database  match/prefilter.h builds one Aho–Corasick automaton over
-//                 the required_literal() of *every* deployed pattern. A
-//                 single streaming pass over the text yields the candidate
+//   per-database  match/prefilter.h builds one multi-literal first stage
+//                 over the required_literal() of *every* deployed pattern.
+//                 A single streaming pass over the text yields the candidate
 //                 signature subset; only candidates run search(). Patterns
 //                 with no usable literal stay on an always-check fallback
 //                 list, so the prefiltered scan is exactly equivalent to

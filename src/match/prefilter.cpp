@@ -1,23 +1,16 @@
 #include "match/prefilter.h"
 
 #include <algorithm>
-#include <cstring>
-#include <istream>
-#include <ostream>
 #include <queue>
-#include <sstream>
+#include <span>
 #include <stdexcept>
-#include <type_traits>
-
-#include "support/errors.h"
-#include "support/hash.h"
 
 namespace kizzle::match {
 
 namespace {
 constexpr std::int32_t kNone = -1;
 
-// Merges the sorted automaton hits in `out` with the sorted `fallback` ids
+// Merges the sorted literal hits in `out` with the sorted `fallback` ids
 // (the two sets are disjoint by construction). std::inplace_merge may heap-
 // allocate a temporary buffer, which would break the scan path's zero-
 // allocation guarantee; merging from the back into the resized vector
@@ -40,6 +33,56 @@ void merge_fallback(std::vector<std::size_t>& out,
   // out[0..i) is already in place.
 }
 
+// Clears the dedup marks of the ids in `found` on every exit path. The
+// bitmap is reused across scans, so a mark left behind by an exception
+// would make the next scan silently drop that id.
+struct SeenReset {
+  std::vector<std::uint8_t>& seen;
+  const std::vector<std::size_t>& found;
+  ~SeenReset() {
+    for (const std::size_t id : found) seen[id] = 0;
+  }
+};
+
+// Marks `ids` as having no position hint (a no-op without a hint array).
+void set_no_hint(std::vector<std::uint32_t>* hints,
+                 std::span<const std::size_t> ids) {
+  if (hints == nullptr) return;
+  for (const std::size_t id : ids) (*hints)[id] = teddy::kNoHint;
+}
+
+// Texts longer than this are past Teddy's 32-bit hit positions and are
+// scanned in slices of kSliceBytes instead of whole.
+constexpr std::size_t kMaxWholeText = 0xFFFFFFFFu;
+constexpr std::size_t kSliceBytes = std::size_t{1} << 30;
+
+// The one slicer (one-shot texts past kMaxWholeText, oversized stream
+// chunks): runs plans.find over `text` in windows of at most `slice`
+// bytes, each starting max_literal_len−1 bytes before the previous one
+// ended, so every literal occurrence lies wholly inside some window.
+// Arguments and result as teddy::PlanSet::find, without position hints
+// (window-relative positions mean nothing to the caller).
+std::size_t find_sliced(const teddy::PlanSet& plans, std::string_view text,
+                        std::size_t slice, teddy::HitBuffer& hits,
+                        std::vector<std::uint8_t>& seen,
+                        std::vector<std::size_t>& out, std::size_t n_seen,
+                        std::size_t stop_at, teddy::ScanCounters* counters,
+                        const std::vector<std::uint8_t>* skip_shard) {
+  // An occurrence starting at s in [at, at + slice − keep) ends by
+  // s + keep + 1 <= at + slice, inside the window; the next window starts
+  // at at + slice − keep. A window must advance, so it is at least keep+1.
+  const std::size_t keep = plans.max_literal_len() - 1;
+  slice = std::max(slice, keep + 1);
+  for (std::size_t at = 0; n_seen < stop_at;) {
+    const std::string_view window = text.substr(at, slice);
+    n_seen = plans.find(window, hits, seen, out, n_seen, stop_at, counters,
+                        nullptr, skip_shard);
+    if (at + window.size() >= text.size()) break;
+    at += window.size() - keep;
+  }
+  return n_seen;
+}
+
 }  // namespace
 
 void LiteralPrefilter::add(std::size_t id, std::string_view literal) {
@@ -53,10 +96,9 @@ void LiteralPrefilter::add(std::size_t id, std::string_view literal) {
   built_ = false;
 }
 
-void LiteralPrefilter::finalize_derived() {
-  // The sorted/deduplicated fallback list and the distinct-automaton-id
-  // count are regenerated from the raw registrations on every build (and
-  // on load), never updated in place: rebuilds cannot accumulate stale or
+void LiteralPrefilter::build() {
+  // Everything here is regenerated from the raw registrations on every
+  // build, never updated in place: rebuilds cannot accumulate stale or
   // repeated entries no matter how add()/build() calls interleave.
   fallback_ = fallback_raw_;
   std::sort(fallback_.begin(), fallback_.end());
@@ -69,12 +111,8 @@ void LiteralPrefilter::finalize_derived() {
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   n_automaton_ids_ = ids.size();
 
-  // The Teddy first stage is derived state too: rebuilt from the raw
-  // registrations here (build() and load() both funnel through), never
-  // serialized — the `.kpf` layout is untouched. PlanSet::build shards by
-  // length class and compiles every non-empty literal set, so the only way
-  // scans take the automaton walk is the explicit override or an
-  // over-4-GiB text.
+  // PlanSet::build shards by length class and compiles every non-empty
+  // literal set.
   std::vector<teddy::PlanSet::Literal> lits;
   lits.reserve(keywords_.size());
   for (const Keyword& kw : keywords_) {
@@ -86,42 +124,31 @@ void LiteralPrefilter::finalize_derived() {
   // Dense-shard routing, decided PER SHARD: a shard whose build-time
   // density estimate says its first stage would fire on more than a fifth
   // of all scanned bytes is confirm-bound, so its literals leave the SIMD
-  // pass and walk a dedicated sub-automaton instead; the remaining
-  // (selective) shards keep the Teddy path. All-dense sets route to the
-  // full main automaton exactly as before — the sub-automaton would just
-  // duplicate it. All of it is derived state like the plan itself, so
-  // built and loaded prefilters route identically.
+  // pass and walk an automaton compiled over exactly them; the remaining
+  // (selective) shards keep the Teddy path. When every shard is dense the
+  // automaton covers the whole literal set and Teddy never runs. A set
+  // with no dense shard compiles no automaton at all.
   dense_shard_.clear();
   n_dense_shards_ = 0;
   dense_ = AcTables{};
   teddy_dense_ = false;
-  if (!teddy_.has_value()) return;
-  dense_shard_.assign(teddy_->shard_count(), 0);
-  for (std::size_t i = 0; i < teddy_->shard_count(); ++i) {
-    if (teddy_->shards()[i].hit_density_estimate() > kDenseRouteHitsPerByte) {
+  if (teddy_.has_value()) {
+    dense_shard_.assign(teddy_->shard_count(), 0);
+    std::vector<Keyword> dense_kws;
+    for (std::size_t i = 0; i < teddy_->shard_count(); ++i) {
+      const teddy::Plan& shard = teddy_->shards()[i];
+      if (shard.hit_density_estimate() <= kDenseRouteHitsPerByte) continue;
       dense_shard_[i] = 1;
       ++n_dense_shards_;
+      // In shard order — deterministic, like every derived structure.
+      for (const teddy::Plan::Literal& lit : shard.literals()) {
+        dense_kws.push_back(Keyword{lit.text, lit.id});
+      }
     }
+    teddy_dense_ = n_dense_shards_ == teddy_->shard_count();
+    if (n_dense_shards_ > 0) dense_ = compile_automaton(dense_kws);
   }
-  teddy_dense_ = n_dense_shards_ == teddy_->shard_count();
-  if (n_dense_shards_ == 0 || teddy_dense_) return;
-  // Hybrid route: compile the dense shards' literals (in shard order —
-  // deterministic, like every derived table) into the sub-automaton.
-  std::vector<Keyword> dense_kws;
-  for (std::size_t i = 0; i < teddy_->shard_count(); ++i) {
-    if (dense_shard_[i] == 0) continue;
-    for (const teddy::Plan::Literal& lit : teddy_->shards()[i].literals()) {
-      dense_kws.push_back(Keyword{lit.text, lit.id});
-    }
-  }
-  dense_ = compile_automaton(dense_kws);
-}
-
-bool LiteralPrefilter::route_teddy(std::string_view text) const {
-  // Hit positions are 32-bit; anything larger (never seen in practice —
-  // scanned units are samples and bounded stream windows) walks the
-  // automaton instead.
-  return use_teddy() && text.size() <= 0xFFFFFFFFu;
+  built_ = true;
 }
 
 LiteralPrefilter::AcTables LiteralPrefilter::compile_automaton(
@@ -233,8 +260,8 @@ std::size_t LiteralPrefilter::ac_walk(const AcTables& t, std::string_view text,
            i < t.out_end[static_cast<std::size_t>(s)]; ++i) {
         const std::size_t id = t.out_ids[static_cast<std::size_t>(i)];
         if (!seen[id]) {
+          out.push_back(id);  // before the mark: a throw leaves none behind
           seen[id] = 1;
-          out.push_back(id);
           ++n_seen;
         }
       }
@@ -243,20 +270,6 @@ std::size_t LiteralPrefilter::ac_walk(const AcTables& t, std::string_view text,
   }
   state = s_cur;
   return n_seen;
-}
-
-void LiteralPrefilter::build() {
-  AcTables t = compile_automaton(keywords_);
-  alpha_ = t.alpha;
-  alpha_size_ = t.alpha_size;
-  next_.reset(std::move(t.next));
-  out_link_.reset(std::move(t.out_link));
-  out_begin_.reset(std::move(t.out_begin));
-  out_end_.reset(std::move(t.out_end));
-  out_ids_.reset(std::move(t.out_ids));
-
-  finalize_derived();
-  built_ = true;
 }
 
 std::vector<std::size_t> LiteralPrefilter::candidates(
@@ -278,113 +291,77 @@ void LiteralPrefilter::candidates_into(std::string_view text,
                                        teddy::HitBuffer& hits,
                                        PrefilterStats* stats,
                                        std::vector<std::uint32_t>* hints) const {
+  collect(text, out, hits, stats, hints, /*whole_limit=*/kMaxWholeText,
+          /*slice=*/kSliceBytes);
+}
+
+void LiteralPrefilter::collect(std::string_view text,
+                               std::vector<std::size_t>& out,
+                               teddy::HitBuffer& hits, PrefilterStats* stats,
+                               std::vector<std::uint32_t>* hints,
+                               std::size_t whole_limit,
+                               std::size_t slice) const {
   if (!built_) {
     throw std::logic_error("LiteralPrefilter: candidates before build()");
   }
   out.clear();
   if (stats != nullptr) *stats = PrefilterStats{};
-  if (hints != nullptr) hints->assign(id_limit_, teddy::kNoHint);
-  if (n_automaton_ids_ == 0 || alpha_size_ == 0) {
+  // Grown, never cleared: every candidate's entry is written below (by
+  // the Teddy confirm, or explicitly as kNoHint), so clearing the other
+  // id_count − candidates entries per scan would be pure waste.
+  if (hints != nullptr && hints->size() < id_limit_) {
+    hints->resize(id_limit_, teddy::kNoHint);
+  }
+  if (n_automaton_ids_ == 0) {
     out = fallback_;
+    set_no_hint(hints, fallback_);
     if (stats != nullptr) stats->fallback = PrefilterFallback::kNoLiterals;
     return;
   }
 
-  // Reused across calls (per thread) — this runs once per scanned sample,
-  // and a fresh zeroed vector per call was the scan path's last
-  // avoidable allocation.
+  // Reused across calls (per thread) and never cleared wholesale: only
+  // the marks this scan set are reset, so the per-scan cost is
+  // O(candidates), not O(id_count).
   thread_local std::vector<std::uint8_t> seen;
-  seen.assign(id_limit_, 0);
-
-  if (route_teddy(text)) {
-    teddy::ScanCounters counters;
-    const bool hybrid = n_dense_shards_ > 0;  // some (not all) shards dense
-    std::size_t n_seen =
-        teddy_->find(text, hits, seen, out, 0, n_automaton_ids_, &counters,
-                     hints, hybrid ? &dense_shard_ : nullptr);
-    if (hybrid) {
-      // Dense shards skipped above: their literals walk the sub-automaton.
-      // Ids found here leave their hints at kNoHint — the confirm tier
-      // falls back to a full-text anchor search, same as the automaton
-      // route always has.
+  if (seen.size() < id_limit_) seen.resize(id_limit_, 0);
+  {
+    const SeenReset reset{seen, out};
+    std::size_t n_seen = 0;
+    if (teddy_dense_) {
+      if (stats != nullptr) stats->fallback = PrefilterFallback::kDenseLiterals;
+    } else {
+      teddy::ScanCounters counters;
+      const std::vector<std::uint8_t>* skip =
+          n_dense_shards_ > 0 ? &dense_shard_ : nullptr;
+      if (text.size() <= whole_limit) {
+        n_seen = teddy_->find(text, hits, seen, out, 0, n_automaton_ids_,
+                              &counters, hints, skip);
+      } else {
+        n_seen = find_sliced(*teddy_, text, slice, hits, seen, out, 0,
+                             n_automaton_ids_, &counters, skip);
+        set_no_hint(hints, out);
+      }
+      if (stats != nullptr) {
+        stats->first_stage_hits = counters.first_stage_hits;
+        stats->shards_scanned = counters.shards_scanned;
+      }
+    }
+    if (n_dense_shards_ > 0) {
+      // Dense shards' literals walk their automaton. Ids found here get
+      // no hint — the confirm tier falls back to a full-text anchor search.
+      const std::size_t first = out.size();
       std::int32_t state = 0;
-      n_seen = ac_walk(dense_, text, state, seen, out, n_seen,
-                       n_automaton_ids_);
+      ac_walk(dense_, text, state, seen, out, n_seen, n_automaton_ids_);
+      set_no_hint(hints, std::span<const std::size_t>(out).subspan(first));
     }
     if (stats != nullptr) {
-      stats->first_stage_hits = counters.first_stage_hits;
-      stats->shards_scanned = counters.shards_scanned;
       stats->dense_shards = n_dense_shards_;
       stats->literal_survivors = out.size();
     }
     std::sort(out.begin(), out.end());
-    merge_fallback(out, fallback_);
-    return;
   }
-  if (stats != nullptr) {
-    stats->fallback = first_stage_ == FirstStage::kAutomaton
-                          ? PrefilterFallback::kForcedAutomaton
-                      : teddy_dense_ ? PrefilterFallback::kDenseLiterals
-                                     : PrefilterFallback::kTextTooLarge;
-  }
-
-  // Hoist the table base pointers once: the tables may be owned or
-  // borrowed (TableRef), and resolving that per byte would put a branch
-  // in the innermost loop.
-  const std::int32_t* const next = next_.data();
-  const std::int32_t* const out_link = out_link_.data();
-  const std::int32_t* const out_begin = out_begin_.data();
-  const std::int32_t* const out_end = out_end_.data();
-  const std::size_t* const out_ids = out_ids_.data();
-  std::size_t n_seen = 0;
-  std::int32_t state = 0;
-  for (const char ch : text) {
-    const std::uint16_t code = alpha_[static_cast<unsigned char>(ch)];
-    if (code == kNoCode) {
-      state = 0;
-      continue;
-    }
-    state = next[static_cast<std::size_t>(state) * alpha_size_ + code];
-    for (std::int32_t s = state; s != kNone;
-         s = out_link[static_cast<std::size_t>(s)]) {
-      if (out_begin[static_cast<std::size_t>(s)] ==
-          out_end[static_cast<std::size_t>(s)]) {
-        continue;  // root (or a pure-prefix state reached directly)
-      }
-      for (std::int32_t i = out_begin[static_cast<std::size_t>(s)];
-           i < out_end[static_cast<std::size_t>(s)]; ++i) {
-        const std::size_t id = out_ids[static_cast<std::size_t>(i)];
-        if (!seen[id]) {
-          seen[id] = 1;
-          out.push_back(id);
-          ++n_seen;
-        }
-      }
-    }
-    if (n_seen == n_automaton_ids_) break;  // every filtered id found
-  }
-
-  if (stats != nullptr) stats->literal_survivors = out.size();
-  std::sort(out.begin(), out.end());
-  // Merge in the (sorted, deduped) fallback ids.
   merge_fallback(out, fallback_);
-}
-
-// ----------------------------- introspection -----------------------------
-
-LiteralPrefilter::TableView LiteralPrefilter::tables() const {
-  TableView v;
-  v.alpha = &alpha_;
-  v.alpha_size = alpha_size_;
-  v.next = next_.view();
-  v.out_link = out_link_.view();
-  v.out_begin = out_begin_.view();
-  v.out_end = out_end_.view();
-  v.out_ids = out_ids_.view();
-  v.fallback = std::span<const std::size_t>(fallback_);
-  v.n_ids = n_ids_;
-  v.id_limit = id_limit_;
-  return v;
+  set_no_hint(hints, fallback_);
 }
 
 std::vector<LiteralPrefilter::Registration> LiteralPrefilter::registrations()
@@ -400,571 +377,6 @@ std::vector<LiteralPrefilter::Registration> LiteralPrefilter::registrations()
   return regs;
 }
 
-// ----------------------------- persistence -----------------------------
-
-namespace {
-
-constexpr char kMagic[4] = {'K', 'Z', 'P', 'F'};
-constexpr std::uint32_t kEndianSentinel = 0x01020304u;
-constexpr std::uint64_t kCkBasis = kizzle::kChecksumBasis;
-// Table sizes beyond this are rejected before allocation: a corrupt count
-// must not drive the loader into a multi-gigabyte resize before the
-// trailing checksum gets a chance to catch it. 16M elements is orders of
-// magnitude above any realistic signature database's automaton.
-constexpr std::uint64_t kMaxTableElems = 1ull << 24;
-// v2: section alignment (so borrowed spans are naturally aligned and
-// cache-line clean) and the payload allocation cap for the istream path.
-constexpr std::size_t kSectionAlign = 64;
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
-// v2 fixed header: magic(4) version(4) endian(4) pad(4) payload_size(8)
-// n_ids(8) id_limit(8) alpha_size(8) alpha(512).
-constexpr std::size_t kV2FixedHeader = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 512;
-constexpr std::size_t kV2SizeOffset = 16;  // payload_size field offset
-
-class CheckedWriter {
- public:
-  explicit CheckedWriter(std::ostream& os) : os_(os) {}
-
-  void bytes(const void* p, std::size_t n) {
-    os_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-    checksum_update(sum_, p, n);
-  }
-  template <typename T>
-  void num(T v) {
-    bytes(&v, sizeof v);
-  }
-  void u64s(std::span<const std::size_t> v) {
-    num<std::uint64_t>(v.size());
-    for (std::size_t x : v) num<std::uint64_t>(x);
-  }
-  void i32s(std::span<const std::int32_t> v) {
-    num<std::uint64_t>(v.size());
-    if (!v.empty()) bytes(v.data(), v.size() * sizeof(std::int32_t));
-  }
-  void finish() {
-    // The checksum trailer is the only field not covered by itself.
-    const std::uint64_t sum = sum_;
-    os_.write(reinterpret_cast<const char*>(&sum), sizeof sum);
-    if (!os_) throw std::runtime_error("LiteralPrefilter: serialize failed");
-  }
-
- private:
-  std::ostream& os_;
-  std::uint64_t sum_ = kCkBasis;
-};
-
-// v2 payloads are built in memory and checksummed in ONE pass (the tail
-// fold in checksum_update makes call granularity part of the sum, and a
-// zero-copy reader verifies the mapped payload in one call).
-class PayloadBuilder {
- public:
-  void bytes(const void* p, std::size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  template <typename T>
-  void num(T v) {
-    bytes(&v, sizeof v);
-  }
-  void pad_to(std::size_t align) {
-    buf_.resize((buf_.size() + align - 1) / align * align, '\0');
-  }
-  std::size_t size() const { return buf_.size(); }
-  std::string& str() { return buf_; }
-
- private:
-  std::string buf_;
-};
-
-// Bounds-checked cursor over a v2 payload. Every read is memcpy-based, so
-// the source needs no alignment; only borrowed table sections require the
-// 64-byte base alignment the format guarantees.
-class BlobCursor {
- public:
-  explicit BlobCursor(std::span<const std::byte> blob) : blob_(blob) {}
-
-  void bytes(void* p, std::size_t n) {
-    if (n > blob_.size() - pos_ || pos_ > blob_.size()) {
-      throw ArtifactError("LiteralPrefilter: truncated artifact");
-    }
-    std::memcpy(p, blob_.data() + pos_, n);
-    pos_ += n;
-  }
-  template <typename T>
-  T num() {
-    T v;
-    bytes(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t count() {
-    const auto n = num<std::uint64_t>();
-    if (n > kMaxTableElems) {
-      throw ResourceError("LiteralPrefilter: implausible table size");
-    }
-    return n;
-  }
-  std::size_t pos() const { return pos_; }
-
- private:
-  std::span<const std::byte> blob_;
-  std::size_t pos_ = 0;
-};
-
-class CheckedReader {
- public:
-  explicit CheckedReader(std::istream& is) : is_(is) {}
-
-  // Folds already-consumed header bytes into the checksum without reading
-  // (the version sniff happens before the reader exists).
-  void absorb(const void* p, std::size_t n) { checksum_update(sum_, p, n); }
-
-  void bytes(void* p, std::size_t n) {
-    is_.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-    if (!is_) {
-      throw ArtifactError("LiteralPrefilter: truncated artifact");
-    }
-    checksum_update(sum_, p, n);
-  }
-  template <typename T>
-  T num() {
-    T v;
-    bytes(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t count() {
-    const std::uint64_t n = num<std::uint64_t>();
-    if (n > kMaxTableElems) {
-      // Well-formed syntax, hostile size: the declared count would drive
-      // an allocation past the cap, so it is a resource rejection — the
-      // buffer for it is never allocated.
-      throw ResourceError("LiteralPrefilter: implausible table size");
-    }
-    return n;
-  }
-  void u64s(std::vector<std::size_t>& v) {
-    v.resize(count());
-    for (std::size_t& x : v) x = static_cast<std::size_t>(num<std::uint64_t>());
-  }
-  void i32s(std::vector<std::int32_t>& v) {
-    v.resize(count());
-    if (!v.empty()) bytes(v.data(), v.size() * sizeof(std::int32_t));
-  }
-  void verify_checksum() {
-    const std::uint64_t expect = sum_;
-    std::uint64_t stored;
-    is_.read(reinterpret_cast<char*>(&stored), sizeof stored);
-    if (!is_ || stored != expect) {
-      throw ArtifactError("LiteralPrefilter: checksum mismatch");
-    }
-  }
-
- private:
-  std::istream& is_;
-  std::uint64_t sum_ = kCkBasis;
-};
-
-}  // namespace
-
-void LiteralPrefilter::serialize(std::ostream& os,
-                                 std::uint32_t version) const {
-  if (!built_) {
-    throw std::logic_error("LiteralPrefilter: serialize before build()");
-  }
-  if (version == 1) {
-    // Legacy layout: stream-framed fields, call-granular checksum.
-    CheckedWriter w(os);
-    w.bytes(kMagic, sizeof kMagic);
-    w.num<std::uint32_t>(1);
-    w.num<std::uint32_t>(kEndianSentinel);
-    w.num<std::uint64_t>(n_ids_);
-    w.num<std::uint64_t>(id_limit_);
-    w.num<std::uint64_t>(alpha_size_);
-    w.bytes(alpha_.data(), alpha_.size() * sizeof(std::uint16_t));
-    w.i32s(next_.view());
-    w.i32s(out_link_.view());
-    w.i32s(out_begin_.view());
-    w.i32s(out_end_.view());
-    w.u64s(out_ids_.view());
-    w.u64s(fallback_raw_);
-    // Raw keyword registrations ride along so a loaded automaton supports
-    // further add()+build() exactly like the original.
-    w.num<std::uint64_t>(keywords_.size());
-    for (const Keyword& kw : keywords_) {
-      w.num<std::uint64_t>(kw.id);
-      w.num<std::uint64_t>(kw.literal.size());
-      w.bytes(kw.literal.data(), kw.literal.size());
-    }
-    w.finish();
-    return;
-  }
-  if (version != 2) {
-    throw std::logic_error("LiteralPrefilter: unknown serialize version");
-  }
-
-  // v2: header + registrations + a section directory, then the five table
-  // sections at 64-byte-aligned offsets (relative to the blob start — a
-  // mapping of the blob at an aligned base keeps them aligned in memory),
-  // each length-prefixed through the directory. The whole payload is
-  // checksummed in one pass and the trailer follows it.
-  PayloadBuilder p;
-  p.bytes(kMagic, sizeof kMagic);
-  p.num<std::uint32_t>(2);
-  p.num<std::uint32_t>(kEndianSentinel);
-  p.num<std::uint32_t>(0);                 // pad / reserved
-  p.num<std::uint64_t>(0);                 // payload_size backpatched below
-  p.num<std::uint64_t>(n_ids_);
-  p.num<std::uint64_t>(id_limit_);
-  p.num<std::uint64_t>(alpha_size_);
-  p.bytes(alpha_.data(), alpha_.size() * sizeof(std::uint16_t));
-  p.num<std::uint64_t>(fallback_raw_.size());
-  for (const std::size_t id : fallback_raw_) p.num<std::uint64_t>(id);
-  p.num<std::uint64_t>(keywords_.size());
-  for (const Keyword& kw : keywords_) {
-    p.num<std::uint64_t>(kw.id);
-    p.num<std::uint64_t>(kw.literal.size());
-    p.bytes(kw.literal.data(), kw.literal.size());
-  }
-
-  // Section directory: elem count + blob-relative byte offset per table.
-  struct Section {
-    const void* data;
-    std::size_t count;
-    std::size_t elem_size;
-  };
-  const Section sections[] = {
-      {next_.data(), next_.size(), sizeof(std::int32_t)},
-      {out_link_.data(), out_link_.size(), sizeof(std::int32_t)},
-      {out_begin_.data(), out_begin_.size(), sizeof(std::int32_t)},
-      {out_end_.data(), out_end_.size(), sizeof(std::int32_t)},
-      {out_ids_.data(), out_ids_.size(), sizeof(std::uint64_t)},
-  };
-  constexpr std::size_t kNSections = std::size(sections);
-  p.num<std::uint64_t>(kNSections);
-  const std::size_t dir_end = p.size() + kNSections * 16;
-  std::size_t off = (dir_end + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-  for (const Section& s : sections) {
-    p.num<std::uint64_t>(s.count);
-    p.num<std::uint64_t>(off);
-    const std::size_t bytes = s.count * s.elem_size;
-    off = (off + bytes + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-  }
-  for (const Section& s : sections) {
-    p.pad_to(kSectionAlign);
-    p.bytes(s.data, s.count * s.elem_size);
-  }
-  p.pad_to(kSectionAlign);
-
-  std::string& payload = p.str();
-  const auto payload_size = static_cast<std::uint64_t>(payload.size());
-  std::memcpy(payload.data() + kV2SizeOffset, &payload_size,
-              sizeof payload_size);
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                "v2 zero-copy layout assumes 64-bit size_t");
-  std::uint64_t sum = kCkBasis;
-  checksum_update(sum, payload.data(), payload.size());
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  os.write(reinterpret_cast<const char*>(&sum), sizeof sum);
-  if (!os) throw std::runtime_error("LiteralPrefilter: serialize failed");
-}
-
-LiteralPrefilter LiteralPrefilter::parse_v2(std::span<const std::byte> blob,
-                                            bool borrow,
-                                            std::size_t* consumed) {
-  BlobCursor header(blob);
-  char magic[4];
-  header.bytes(magic, sizeof magic);
-  if (!std::equal(magic, magic + 4, kMagic)) {
-    throw ArtifactError("LiteralPrefilter: bad magic");
-  }
-  if (header.num<std::uint32_t>() != 2) {
-    throw ArtifactError("LiteralPrefilter: not a v2 blob");
-  }
-  if (header.num<std::uint32_t>() != kEndianSentinel) {
-    throw ArtifactError(
-        "LiteralPrefilter: artifact endianness does not match this host");
-  }
-  header.num<std::uint32_t>();  // pad
-  const auto payload_size = header.num<std::uint64_t>();
-  if (payload_size < kV2FixedHeader) {
-    throw ArtifactError("LiteralPrefilter: implausible payload size");
-  }
-  // Refused before any allocation or read sized by it: a declared
-  // multi-gigabyte payload is a resource attack, not a format error.
-  if (payload_size > kMaxPayloadBytes) {
-    throw ResourceError("LiteralPrefilter: implausible payload size");
-  }
-  if (payload_size + 8 > blob.size()) {
-    throw ArtifactError("LiteralPrefilter: truncated artifact");
-  }
-  // One pass over the payload seals everything — header, registrations,
-  // directory, sections, padding — before any of it is interpreted.
-  std::uint64_t sum = kCkBasis;
-  checksum_update(sum, blob.data(), static_cast<std::size_t>(payload_size));
-  std::uint64_t stored;
-  std::memcpy(&stored, blob.data() + payload_size, sizeof stored);
-  if (stored != sum) {
-    throw ArtifactError("LiteralPrefilter: checksum mismatch");
-  }
-  if (consumed != nullptr) {
-    *consumed = static_cast<std::size_t>(payload_size) + 8;
-  }
-  const std::span<const std::byte> payload =
-      blob.first(static_cast<std::size_t>(payload_size));
-
-  LiteralPrefilter pf;
-  BlobCursor c(payload);
-  c.bytes(magic, sizeof magic);  // re-walk the verified header
-  c.num<std::uint32_t>();
-  c.num<std::uint32_t>();
-  c.num<std::uint32_t>();
-  c.num<std::uint64_t>();
-  pf.n_ids_ = static_cast<std::size_t>(c.num<std::uint64_t>());
-  pf.id_limit_ = static_cast<std::size_t>(c.num<std::uint64_t>());
-  pf.alpha_size_ = static_cast<std::size_t>(c.num<std::uint64_t>());
-  // id_limit_ sizes the per-scan dedup bitmap; an implausible value must
-  // fail here, not OOM the first candidates() call.
-  if (pf.n_ids_ > kMaxTableElems || pf.id_limit_ > kMaxTableElems) {
-    throw ResourceError("LiteralPrefilter: implausible id count");
-  }
-  c.bytes(pf.alpha_.data(), pf.alpha_.size() * sizeof(std::uint16_t));
-  pf.fallback_raw_.resize(static_cast<std::size_t>(c.count()));
-  for (std::size_t& id : pf.fallback_raw_) {
-    id = static_cast<std::size_t>(c.num<std::uint64_t>());
-  }
-  pf.keywords_.resize(static_cast<std::size_t>(c.count()));
-  for (Keyword& kw : pf.keywords_) {
-    kw.id = static_cast<std::size_t>(c.num<std::uint64_t>());
-    kw.literal.resize(static_cast<std::size_t>(c.count()));
-    if (!kw.literal.empty()) c.bytes(kw.literal.data(), kw.literal.size());
-  }
-
-  const auto n_sections = c.num<std::uint64_t>();
-  if (n_sections != 5) {
-    throw ArtifactError("LiteralPrefilter: unexpected section count");
-  }
-  struct Dir {
-    std::size_t count;
-    std::size_t offset;
-  };
-  std::array<Dir, 5> dir{};
-  for (Dir& d : dir) {
-    d.count = static_cast<std::size_t>(c.count());
-    d.offset = static_cast<std::size_t>(c.num<std::uint64_t>());
-  }
-  // A misaligned blob base cannot serve aligned views; fall back to owned
-  // copies with identical semantics.
-  const bool aligned =
-      reinterpret_cast<std::uintptr_t>(blob.data()) % kSectionAlign == 0;
-  const bool take_views = borrow && aligned;
-  const auto section = [&](const Dir& d, std::size_t elem_size,
-                           auto& table) {
-    using T = std::remove_cvref_t<decltype(table[0])>;
-    const std::size_t bytes = d.count * elem_size;
-    if (d.offset % kSectionAlign != 0 || d.offset < c.pos() ||
-        d.offset > payload.size() || bytes > payload.size() - d.offset) {
-      throw ArtifactError("LiteralPrefilter: section out of bounds");
-    }
-    if (take_views) {
-      table.reset_view(reinterpret_cast<const T*>(payload.data() + d.offset),
-                       d.count);
-    } else {
-      std::vector<T> own(d.count);
-      if (bytes > 0) std::memcpy(own.data(), payload.data() + d.offset, bytes);
-      table.reset(std::move(own));
-    }
-  };
-  section(dir[0], sizeof(std::int32_t), pf.next_);
-  section(dir[1], sizeof(std::int32_t), pf.out_link_);
-  section(dir[2], sizeof(std::int32_t), pf.out_begin_);
-  section(dir[3], sizeof(std::int32_t), pf.out_end_);
-  section(dir[4], sizeof(std::uint64_t), pf.out_ids_);
-
-  pf.validate_loaded();
-  return pf;
-}
-
-void LiteralPrefilter::validate_loaded() {
-  // Structural sanity: table shapes must agree before the automaton is
-  // allowed to walk anything. Identical for owned and borrowed tables.
-  const std::size_t total = out_link_.size();
-  if (alpha_size_ > 256 ||
-      out_begin_.size() != total || out_end_.size() != total ||
-      next_.size() != total * alpha_size_) {
-    throw ArtifactError("LiteralPrefilter: inconsistent table shapes");
-  }
-  for (std::size_t b = 0; b < alpha_.size(); ++b) {
-    if (alpha_[b] != kNoCode && alpha_[b] >= alpha_size_) {
-      throw ArtifactError("LiteralPrefilter: alphabet code out of range");
-    }
-  }
-  for (const std::int32_t s : next_) {
-    if (s < 0 || static_cast<std::size_t>(s) >= std::max<std::size_t>(total, 1)) {
-      throw ArtifactError("LiteralPrefilter: goto target out of range");
-    }
-  }
-  for (std::size_t s = 0; s < total; ++s) {
-    const std::int32_t link = out_link_[s];
-    if (link != kNone &&
-        (link < 0 || static_cast<std::size_t>(link) >= total)) {
-      throw ArtifactError("LiteralPrefilter: output link out of range");
-    }
-    const std::int32_t b = out_begin_[s];
-    const std::int32_t e = out_end_[s];
-    if (b < 0 || e < b || static_cast<std::size_t>(e) > out_ids_.size()) {
-      throw ArtifactError("LiteralPrefilter: output slice out of range");
-    }
-  }
-  for (const std::size_t id : out_ids_) {
-    if (id >= id_limit_) {
-      throw ArtifactError("LiteralPrefilter: output id out of range");
-    }
-  }
-  // The raw registrations must be consistent with the header and stay
-  // inside the id space — otherwise a later candidates() (or a
-  // rebuild-after-load) indexes the dedup bitmap out of bounds.
-  if (n_ids_ != keywords_.size() + fallback_raw_.size()) {
-    throw ArtifactError(
-        "LiteralPrefilter: registration count disagrees with header");
-  }
-  for (const std::size_t id : fallback_raw_) {
-    if (id >= id_limit_) {
-      throw ArtifactError("LiteralPrefilter: fallback id out of range");
-    }
-  }
-  for (const Keyword& kw : keywords_) {
-    if (kw.id >= id_limit_ || kw.literal.empty()) {
-      throw ArtifactError("LiteralPrefilter: bad keyword registration");
-    }
-  }
-
-  finalize_derived();
-  // Registered literals imply a walkable automaton (root state + reduced
-  // alphabet); without this, the scan loop would index empty tables.
-  if (n_automaton_ids_ > 0 && (total == 0 || alpha_size_ == 0)) {
-    throw ArtifactError(
-        "LiteralPrefilter: automaton tables missing for registered literals");
-  }
-  built_ = true;
-}
-
-LiteralPrefilter LiteralPrefilter::load(std::span<const std::byte> blob,
-                                        std::size_t* consumed) {
-  // Sniff the version: v2 blobs are parsed in place (borrowed when the
-  // base is aligned), v1 blobs route through the owning istream reader.
-  if (blob.size() >= 8) {
-    std::uint32_t version;
-    std::memcpy(&version, blob.data() + 4, sizeof version);
-    if (std::memcmp(blob.data(), kMagic, 4) == 0 && version == 2) {
-      return parse_v2(blob, /*borrow=*/true, consumed);
-    }
-  }
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
-  LiteralPrefilter pf = load(is);
-  if (consumed != nullptr) {
-    const auto pos = is.tellg();
-    *consumed = pos < 0 ? blob.size() : static_cast<std::size_t>(pos);
-  }
-  return pf;
-}
-
-LiteralPrefilter LiteralPrefilter::load(std::istream& is) {
-  // Sniff magic + version outside the checksum framing, then dispatch:
-  // v1 re-seeds the legacy call-granular checksum with the bytes already
-  // read; v2 slurps the length-prefixed payload and parses it owned.
-  char magic[4];
-  std::uint32_t version;
-  is.read(magic, sizeof magic);
-  is.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!is) throw ArtifactError("LiteralPrefilter: truncated artifact");
-  if (!std::equal(magic, magic + 4, kMagic)) {
-    throw ArtifactError("LiteralPrefilter: bad magic");
-  }
-  if (version == 2) {
-    // Read endian + pad + payload_size, then the rest of the
-    // self-delimiting blob; parse_v2 re-validates everything from the
-    // reassembled bytes.
-    std::uint32_t endian, pad;
-    std::uint64_t payload_size;
-    is.read(reinterpret_cast<char*>(&endian), sizeof endian);
-    is.read(reinterpret_cast<char*>(&pad), sizeof pad);
-    is.read(reinterpret_cast<char*>(&payload_size), sizeof payload_size);
-    if (!is) throw ArtifactError("LiteralPrefilter: truncated artifact");
-    if (endian != kEndianSentinel) {
-      throw ArtifactError(
-          "LiteralPrefilter: artifact endianness does not match this host");
-    }
-    if (payload_size < kV2FixedHeader) {
-      throw ArtifactError("LiteralPrefilter: implausible payload size");
-    }
-    // Refused before the blob below is sized by it (resource attack, not
-    // a format error — see the span loader).
-    if (payload_size > kMaxPayloadBytes) {
-      throw ResourceError("LiteralPrefilter: implausible payload size");
-    }
-    std::string blob(static_cast<std::size_t>(payload_size) + 8, '\0');
-    std::memcpy(blob.data(), magic, 4);
-    std::memcpy(blob.data() + 4, &version, 4);
-    std::memcpy(blob.data() + 8, &endian, 4);
-    std::memcpy(blob.data() + 12, &pad, 4);
-    std::memcpy(blob.data() + kV2SizeOffset, &payload_size, 8);
-    is.read(blob.data() + 24, static_cast<std::streamsize>(blob.size() - 24));
-    if (!is) throw ArtifactError("LiteralPrefilter: truncated artifact");
-    return parse_v2(
-        std::span<const std::byte>(
-            reinterpret_cast<const std::byte*>(blob.data()), blob.size()),
-        /*borrow=*/false, nullptr);
-  }
-  if (version != 1) {
-    throw ArtifactError("LiteralPrefilter: unsupported format version " +
-                             std::to_string(version));
-  }
-
-  CheckedReader r(is);
-  r.absorb(magic, sizeof magic);
-  r.absorb(&version, sizeof version);
-  const auto endian = r.num<std::uint32_t>();
-  if (endian != kEndianSentinel) {
-    throw ArtifactError(
-        "LiteralPrefilter: artifact endianness does not match this host");
-  }
-
-  LiteralPrefilter pf;
-  pf.n_ids_ = static_cast<std::size_t>(r.num<std::uint64_t>());
-  pf.id_limit_ = static_cast<std::size_t>(r.num<std::uint64_t>());
-  pf.alpha_size_ = static_cast<std::size_t>(r.num<std::uint64_t>());
-  // id_limit_ sizes the per-scan dedup bitmap; an implausible value must
-  // fail here, not OOM the first candidates() call.
-  if (pf.n_ids_ > kMaxTableElems || pf.id_limit_ > kMaxTableElems) {
-    throw ResourceError("LiteralPrefilter: implausible id count");
-  }
-  r.bytes(pf.alpha_.data(), pf.alpha_.size() * sizeof(std::uint16_t));
-  std::vector<std::int32_t> next, out_link, out_begin, out_end;
-  std::vector<std::size_t> out_ids;
-  r.i32s(next);
-  r.i32s(out_link);
-  r.i32s(out_begin);
-  r.i32s(out_end);
-  r.u64s(out_ids);
-  r.u64s(pf.fallback_raw_);
-  pf.next_.reset(std::move(next));
-  pf.out_link_.reset(std::move(out_link));
-  pf.out_begin_.reset(std::move(out_begin));
-  pf.out_end_.reset(std::move(out_end));
-  pf.out_ids_.reset(std::move(out_ids));
-  const std::uint64_t n_keywords = r.count();
-  pf.keywords_.resize(static_cast<std::size_t>(n_keywords));
-  for (Keyword& kw : pf.keywords_) {
-    kw.id = static_cast<std::size_t>(r.num<std::uint64_t>());
-    const std::uint64_t len = r.count();
-    kw.literal.resize(static_cast<std::size_t>(len));
-    if (len > 0) r.bytes(kw.literal.data(), kw.literal.size());
-  }
-  r.verify_checksum();
-
-  pf.validate_loaded();
-  return pf;
-}
-
 // --------------------------- StreamingMatcher ---------------------------
 
 StreamingMatcher::StreamingMatcher(const LiteralPrefilter& prefilter)
@@ -977,83 +389,52 @@ StreamingMatcher::StreamingMatcher(const LiteralPrefilter& prefilter)
 
 void StreamingMatcher::feed(std::string_view chunk) {
   bytes_fed_ += chunk.size();
-  if (pf_->n_automaton_ids_ == 0 || pf_->alpha_size_ == 0 ||
-      n_seen_ == pf_->n_automaton_ids_) {
+  if (n_seen_ == pf_->n_automaton_ids_) {
     return;  // nothing to find (or everything already found)
   }
-  if (pf_->use_teddy()) {
-    if (pf_->n_dense_shards_ > 0 && !pf_->teddy_dense_) {
-      // Hybrid route: dense-shard literals never enter the Teddy window.
-      // The sub-automaton is resumable (dense_state_ carries across
-      // chunks), so it scans each chunk exactly once with no carry tail.
-      n_seen_ = LiteralPrefilter::ac_walk(pf_->dense_, chunk, dense_state_,
-                                          seen_, found_, n_seen_,
-                                          pf_->n_automaton_ids_);
-    }
-    feed_teddy(chunk);
-    return;
+  if (pf_->n_dense_shards_ > 0) {
+    // Dense-shard literals never enter the Teddy window. Their automaton
+    // is resumable (dense_state_ carries across chunks), so it scans each
+    // chunk exactly once with no carry tail.
+    n_seen_ = LiteralPrefilter::ac_walk(pf_->dense_, chunk, dense_state_,
+                                        seen_, found_, n_seen_,
+                                        pf_->n_automaton_ids_);
   }
-  const auto& alpha = pf_->alpha_;
-  const std::size_t alpha_size = pf_->alpha_size_;
-  // Hoisted once per chunk, as in candidates_into: the tables may be
-  // owned or borrowed and the ownership branch stays out of the loop.
-  const std::int32_t* const next = pf_->next_.data();
-  const std::int32_t* const out_link = pf_->out_link_.data();
-  const std::int32_t* const out_begin = pf_->out_begin_.data();
-  const std::int32_t* const out_end = pf_->out_end_.data();
-  const std::size_t* const out_ids = pf_->out_ids_.data();
-  std::int32_t state = state_;
-  for (const char ch : chunk) {
-    const std::uint16_t code = alpha[static_cast<unsigned char>(ch)];
-    if (code == LiteralPrefilter::kNoCode) {
-      state = 0;
-      continue;
-    }
-    state = next[static_cast<std::size_t>(state) * alpha_size + code];
-    for (std::int32_t s = state; s != kNone;
-         s = out_link[static_cast<std::size_t>(s)]) {
-      if (out_begin[static_cast<std::size_t>(s)] ==
-          out_end[static_cast<std::size_t>(s)]) {
-        continue;
-      }
-      for (std::int32_t i = out_begin[static_cast<std::size_t>(s)];
-           i < out_end[static_cast<std::size_t>(s)]; ++i) {
-        const std::size_t id = out_ids[static_cast<std::size_t>(i)];
-        if (!seen_[id]) {
-          seen_[id] = 1;
-          found_.push_back(id);
-          ++n_seen_;
-        }
-      }
-    }
-    if (n_seen_ == pf_->n_automaton_ids_) break;  // carry on counting bytes
-  }
-  state_ = state;
+  if (!pf_->teddy_dense_) feed_teddy(chunk);
 }
 
 void StreamingMatcher::feed_teddy(std::string_view chunk) {
-  // Unscanned bytes accumulate in window_ and are scanned in batches: the
+  // Small chunks accumulate in window_ and are scanned in batches: the
   // carried tail (longest-literal−1 bytes of already-scanned text) is
   // rescanned on every flush, so flushing per feed would make tiny chunks
   // pay up to tail/chunk-size redundant work. Deferring until a multiple
   // of the tail has arrived caps the overhead at ~25% regardless of how
   // the stream is diced; finish_into() flushes the remainder.
-  const std::size_t keep = pf_->teddy_->max_literal_len() - 1;
+  const teddy::PlanSet& plans = *pf_->teddy_;
+  const std::size_t keep = plans.max_literal_len() - 1;
   const std::size_t flush_at = std::max<std::size_t>(256, 4 * keep);
-  // The window is also kept under Teddy's 32-bit position space no matter
-  // how large one chunk is.
-  constexpr std::size_t kSlice = std::size_t{1} << 30;
-  while (!chunk.empty() && n_seen_ < pf_->n_automaton_ids_) {
-    if (window_.size() >= kSlice) {
-      scan_window();  // trims the window back to the carry tail
-      continue;
-    }
-    const std::size_t take = std::min(chunk.size(), kSlice - window_.size());
-    window_.append(chunk.substr(0, take));
-    chunk.remove_prefix(take);
-    pending_ += take;
+  if (chunk.size() < flush_at) {
+    window_.append(chunk);
+    pending_ += chunk.size();
     if (pending_ >= flush_at) scan_window();
+    return;
   }
+  // A large chunk is scanned in place instead of being copied into the
+  // window: first the window with the chunk's first `keep` bytes glued on
+  // (every occurrence starting in the window ends inside that), then the
+  // chunk itself through the shared slicer, which keeps any chunk size
+  // inside Teddy's position space. The chunk's tail is the next carry.
+  const std::vector<std::uint8_t>* skip =
+      pf_->n_dense_shards_ > 0 ? &pf_->dense_shard_ : nullptr;
+  if (!window_.empty()) {
+    window_.append(chunk.substr(0, keep));
+    n_seen_ = plans.find(window_, hits_, seen_, found_, n_seen_,
+                         pf_->n_automaton_ids_, nullptr, nullptr, skip);
+  }
+  n_seen_ = find_sliced(plans, chunk, kSliceBytes, hits_, seen_, found_,
+                        n_seen_, pf_->n_automaton_ids_, nullptr, skip);
+  window_.assign(chunk.substr(chunk.size() - keep));
+  pending_ = 0;
 }
 
 void StreamingMatcher::scan_window() {
@@ -1068,9 +449,7 @@ void StreamingMatcher::scan_window() {
   // the previous flush.
   n_seen_ = plans.find(window_, hits_, seen_, found_, n_seen_,
                        pf_->n_automaton_ids_, nullptr, nullptr,
-                       pf_->n_dense_shards_ > 0 && !pf_->teddy_dense_
-                           ? &pf_->dense_shard_
-                           : nullptr);
+                       pf_->n_dense_shards_ > 0 ? &pf_->dense_shard_ : nullptr);
   const std::size_t keep = plans.max_literal_len() - 1;
   if (window_.size() > keep) window_.erase(0, window_.size() - keep);
 }
@@ -1092,13 +471,18 @@ std::vector<std::size_t> StreamingMatcher::finish() {
   return out;
 }
 
+void StreamingMatcher::forget_found() {
+  // Every mark was set together with a found_ entry (entry first), so
+  // clearing exactly these leaves the bitmap all-zero.
+  for (const std::size_t id : found_) seen_[id] = 0;
+  found_.clear();
+  n_seen_ = 0;
+}
+
 void StreamingMatcher::reset() {
-  state_ = 0;
+  forget_found();
   dense_state_ = 0;
   bytes_fed_ = 0;
-  n_seen_ = 0;
-  std::fill(seen_.begin(), seen_.end(), 0);
-  found_.clear();
   window_.clear();
   pending_ = 0;
 }
@@ -1107,17 +491,9 @@ void StreamingMatcher::rebind(const LiteralPrefilter& prefilter) {
   if (!prefilter.built()) {
     throw std::logic_error("StreamingMatcher: prefilter not built");
   }
+  reset();
   pf_ = &prefilter;
-  state_ = 0;
-  dense_state_ = 0;
-  bytes_fed_ = 0;
-  n_seen_ = 0;
-  // assign() both sizes the bitmap for the new automaton and zeroes it; a
-  // same-capacity rebind touches no heap.
-  seen_.assign(pf_->id_limit_, 0);
-  found_.clear();
-  window_.clear();
-  pending_ = 0;
+  if (seen_.size() < pf_->id_limit_) seen_.resize(pf_->id_limit_, 0);
 }
 
 }  // namespace kizzle::match

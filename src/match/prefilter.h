@@ -18,14 +18,13 @@
 //            instead of disqualifying the whole set), oversized classes
 //            split across shards, crowded shards widened to 16 Fat
 //            buckets. There is no qualification gate — any non-empty
-//            literal set compiles — so candidates_into() never falls back
-//            to the automaton for real databases. The byte-at-a-time
-//            Aho–Corasick walk remains as the differential baseline
-//            (set_first_stage(FirstStage::kAutomaton)) and covers the two
-//            residual cases: texts past Teddy's 32-bit position space and
-//            streaming resume (below). Both first stages produce
-//            byte-identical candidate sets — pinned by the oracles in
-//            tests/teddy_test.cpp.
+//            literal set compiles. Shards too dense for the SIMD pass
+//            (kDenseRouteHitsPerByte) walk a small Aho–Corasick automaton
+//            compiled over exactly their literals; no other automaton
+//            exists in the product. Texts past Teddy's 32-bit position
+//            space are scanned in overlapping 1 GiB slices.
+//            The test-only reference automaton (tests/support) is the
+//            differential oracle every first-stage route is pinned to.
 //   tier 2 — window confirm (teddy::Plan::confirm). Each sparse hit is
 //            resolved to literal occurrences by a per-bucket window-key
 //            lookup plus bounded memcmp, deduplicated per id. Patterns
@@ -47,26 +46,19 @@
 // Build once, then share freely: candidates() is const and thread-safe, so
 // one prefilter serves any number of concurrent batch-scan workers.
 //
-// The automaton is also a *release artifact*: serialize() writes the
-// frozen goto/fail/output tables in a versioned, endian-checked flat
-// layout, and load() restores an automaton whose candidates() output is
-// byte-identical to the freshly built one — deployment channels load the
-// artifact instead of rebuilding per process. The v2 layout stores each
-// table as a 64-byte-aligned, length-prefixed section, so load() over a
-// borrowed mapping (support/mapped_file.h) points std::span views straight
-// into the mapped bytes — zero table copies, page cache shared across
-// every process on the box. The owning istream path remains for v1
-// artifacts and unaligned sources. For data that arrives in pieces (a
-// script streamed by the network, a large file read in blocks),
-// StreamingMatcher walks the same automaton chunk by chunk.
+// All of it is derived state. build() compiles the plan set, the dense
+// routing and the dense-shard automaton from the raw registrations; none
+// of it is ever serialized — a release artifact (core/sigdb.h) ships the
+// signatures alone and every process derives its matcher at load (cheaper
+// than loading prebuilt tables ever was: BM_PrefilterBuild). For data that
+// arrives in pieces (a script streamed by the network, a large file read
+// in blocks), StreamingMatcher runs the same first stage chunk by chunk.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,59 +69,11 @@ namespace kizzle::match {
 
 class StreamingMatcher;
 
-// Ownership-abstracted flat table: the element storage either lives in an
-// owned vector (build(), v1/istream loads) or is a borrowed view into an
-// external mapping (zero-copy v2 loads). Readers see one interface either
-// way; hot loops hoist data() once and index raw. Copying a borrowed
-// table copies the borrow — whoever owns the mapping must outlive every
-// copy, which engine::Database guarantees by holding its mapping in a
-// shared_ptr.
-template <typename T>
-class TableRef {
- public:
-  TableRef() = default;
-  explicit TableRef(std::vector<T> own) : own_(std::move(own)) {}
-
-  void reset(std::vector<T> own) {
-    own_ = std::move(own);
-    ext_ = nullptr;
-    ext_size_ = 0;
-  }
-  void reset_view(const T* data, std::size_t n) {
-    own_.clear();
-    own_.shrink_to_fit();
-    ext_ = data;
-    ext_size_ = n;
-  }
-
-  bool borrowed() const { return ext_ != nullptr; }
-  const T* data() const { return borrowed() ? ext_ : own_.data(); }
-  std::size_t size() const { return borrowed() ? ext_size_ : own_.size(); }
-  bool empty() const { return size() == 0; }
-  const T& operator[](std::size_t i) const { return data()[i]; }
-  std::span<const T> view() const { return {data(), size()}; }
-  const T* begin() const { return data(); }
-  const T* end() const { return data() + size(); }
-
- private:
-  std::vector<T> own_;
-  const T* ext_ = nullptr;
-  std::size_t ext_size_ = 0;
-};
-
-// First-stage selection. kAuto routes through the Teddy SIMD matcher
-// whenever the registered literal set qualifies; kAutomaton forces the
-// byte-at-a-time Aho–Corasick walk (the differential baseline for tests
-// and benchmarks). Candidate sets are identical either way.
-enum class FirstStage { kAuto, kAutomaton };
-
 // Why a scan did not take the Teddy first stage (kNone when it did).
 enum class PrefilterFallback : std::uint8_t {
-  kNone,             // Teddy first stage ran (possibly minus dense shards)
-  kForcedAutomaton,  // set_first_stage(FirstStage::kAutomaton) override
-  kTextTooLarge,     // text exceeds Teddy's 32-bit position space
-  kNoLiterals,       // nothing registered under literals (fallback ids only)
-  kDenseLiterals,    // EVERY plan-set shard past kDenseRouteHitsPerByte
+  kNone,           // Teddy first stage ran (possibly minus dense shards)
+  kNoLiterals,     // nothing registered under literals (fallback ids only)
+  kDenseLiterals,  // EVERY plan-set shard past kDenseRouteHitsPerByte
 };
 
 // Dense-shard routing threshold, applied PER SHARD: a shard whose expected
@@ -138,12 +82,12 @@ enum class PrefilterFallback : std::uint8_t {
 // pass and its literals walk a dedicated sub-automaton instead. Past ~1
 // hit per 5 bytes the SIMD pass is confirm-bound — every "sparse"
 // candidate pays the window lookup the automaton folds into its single
-// table walk — and the short-literal benches show the automaton winning
-// outright (BM_TeddyPrefilterShortLiterals/512). Routing per shard keeps
+// table walk — and on the literal set of BM_TeddyPrefilterShortLiterals/512
+// an automaton walk measured faster than the SIMD pass. Routing per shard keeps
 // the selective long-literal shards on the SIMD path even when one
-// crowded short-literal shard is dense: one bad length class no longer
-// drags the whole database to the byte-at-a-time walk (only when every
-// shard is dense does the scan take the full-automaton route,
+// crowded short-literal shard is dense: one bad length class does not
+// drag the whole database to the byte-at-a-time walk (only when every
+// shard is dense does the sub-automaton cover the whole literal set,
 // PrefilterFallback::kDenseLiterals). Real signature databases estimate
 // orders of magnitude below this; only short-common-literal sets trip it.
 inline constexpr double kDenseRouteHitsPerByte = 0.20;
@@ -168,12 +112,13 @@ class LiteralPrefilter {
   // not both (the merged candidate list would report it twice).
   void add(std::size_t id, std::string_view literal);
 
-  // Freezes the automaton. Must be called after the last add() and before
-  // the first candidates(). May be called again after further add()s;
-  // rebuilding is idempotent — every derived table (including the
-  // sorted/deduplicated fallback list) is regenerated from the raw
-  // registrations, so an incrementally grown automaton is indistinguishable
-  // from one built fresh with the same final registration set.
+  // Compiles the first stage. Must be called after the last add() and
+  // before the first candidates(). May be called again after further
+  // add()s; rebuilding is idempotent — every derived structure (including
+  // the sorted/deduplicated fallback list) is regenerated from the raw
+  // registrations, so an incrementally grown prefilter is
+  // indistinguishable from one built fresh with the same final
+  // registration set.
   void build();
 
   bool built() const { return built_; }
@@ -194,13 +139,15 @@ class LiteralPrefilter {
 
   // Same, additionally reusing `hits` as the Teddy first stage's candidate
   // position buffer (engine::Scratch owns one so steady-state scans stay
-  // zero-alloc). Unused when the automaton walk is taken. `stats`, when
-  // non-null, receives this call's tier 1–2 counters. `hints`, when
-  // non-null, is resized to id_count-capacity and filled per id with the
-  // start position of that id's leftmost registered-literal occurrence in
-  // `text` (teddy::kNoHint where unknown: fallback ids, automaton-walk
-  // scans). Tier-3 confirmation seeds its anchor search there instead of
-  // re-finding the literal from the start of the text.
+  // zero-alloc). `stats`, when non-null, receives this call's tier 1–2
+  // counters. `hints`, when non-null, is grown to id_count capacity if
+  // needed, and for every returned candidate holds the start of that id's
+  // leftmost registered-literal occurrence in `text`, or teddy::kNoHint
+  // where unknown (fallback ids, dense-shard ids, sliced texts). Entries
+  // of non-candidates are stale and must not be read. Tier-3
+  // confirmation seeds its anchor search there instead of re-finding the
+  // literal from the start of the text. The per-call cost is
+  // O(text + candidates), never O(id_count).
   void candidates_into(std::string_view text, std::vector<std::size_t>& out,
                        teddy::HitBuffer& hits, PrefilterStats* stats = nullptr,
                        std::vector<std::uint32_t>* hints = nullptr) const;
@@ -208,19 +155,18 @@ class LiteralPrefilter {
   // Ids with no usable literal (always candidates), sorted ascending.
   const std::vector<std::size_t>& fallback_ids() const { return fallback_; }
 
-  // First-stage routing. The knob is a scan-time override (not serialized;
-  // kAuto after load()) — it must not be flipped while StreamingMatchers
-  // are mid-stream over this prefilter.
-  void set_first_stage(FirstStage stage) { first_stage_ = stage; }
-  FirstStage first_stage() const { return first_stage_; }
-  // True when scans currently route through the Teddy first stage.
-  bool teddy_active() const { return use_teddy(); }
+  // True when scans run the Teddy first stage (some literal is registered
+  // and not every shard is dense-routed).
+  bool teddy_active() const { return teddy_.has_value() && !teddy_dense_; }
   // True when EVERY compiled shard was judged too dense for the SIMD path
-  // (kDenseRouteHitsPerByte) and scans route to the full automaton walk.
+  // (kDenseRouteHitsPerByte) and the dense automaton covers every literal.
   bool teddy_dense() const { return teddy_dense_; }
   // Shards excised from the SIMD pass and routed to the dense-literal
-  // sub-automaton (0 on all-sparse sets; == shard_count when teddy_dense).
+  // automaton (0 on all-sparse sets; == shard_count when teddy_dense).
   std::size_t dense_shard_count() const { return n_dense_shards_; }
+  // States of the dense-literal automaton; 0 when no shard is dense, in
+  // which case no automaton was compiled at all.
+  std::size_t dense_state_count() const { return dense_.out_link.size(); }
   // Per-shard dense-route flags, indexed like teddy_plans()->shards().
   const std::vector<std::uint8_t>& dense_shard_flags() const {
     return dense_shard_;
@@ -231,70 +177,20 @@ class LiteralPrefilter {
     return teddy_.has_value() ? &*teddy_ : nullptr;
   }
 
-  // ---------------------------- introspection ----------------------------
-  //
-  // Read-only views for the static analyzer (analyze/analyze.h), which
-  // recompiles an artifact's embedded signatures and structurally compares
-  // the result against the shipped tables (diverse-double-compile style:
-  // catches compiler skew and tampering that a checksum re-hash cannot).
-  // Spans alias this prefilter's storage; they are invalidated by add(),
-  // build(), and destruction.
-  struct TableView {
-    const std::array<std::uint16_t, 256>* alpha = nullptr;
-    std::size_t alpha_size = 0;
-    std::span<const std::int32_t> next;
-    std::span<const std::int32_t> out_link;
-    std::span<const std::int32_t> out_begin;
-    std::span<const std::int32_t> out_end;
-    std::span<const std::size_t> out_ids;
-    std::span<const std::size_t> fallback;
-    std::size_t n_ids = 0;
-    std::size_t id_limit = 0;
-  };
-  TableView tables() const;
-  // The raw (literal, id) registrations, in registration order.
+  // The raw (literal, id) registrations, in registration order (fallback
+  // ids last, with empty literals). Views alias this prefilter's storage;
+  // they are invalidated by add(), build(), and destruction.
   struct Registration {
     std::string_view literal;
     std::size_t id = 0;
   };
   std::vector<Registration> registrations() const;
 
-  // ---------------------------- persistence ----------------------------
-  //
-  // Flat binary layout of the built automaton: a magic/version/endianness
-  // header, the goto/fail/output tables, the raw registrations (so further
-  // add()+build() after load() behaves exactly like on the original), and
-  // a trailing FNV-1a checksum over the payload. v2 (the current format)
-  // is self-delimiting — a length-prefixed payload whose table sections
-  // sit at 64-byte-aligned offsets relative to the blob start and whose
-  // checksum is one single-pass sum over the whole payload — so the span
-  // overload of load() can verify a borrowed mapping in one pass and then
-  // point the automaton tables straight into it. Version policy: the
-  // format version is bumped on ANY layout change; load() accepts v1
-  // (owning tables) and v2, rejects unknown versions, foreign endianness
-  // and corrupt/truncated payloads with kizzle::ArtifactError, and
-  // declared sizes past the allocation caps with kizzle::ResourceError
-  // (support/errors.h) — before allocating — rather than guessing.
-  // serialize() throws std::logic_error if the automaton is not built;
-  // pass version 1 to emit the legacy layout for old readers.
-  static constexpr std::uint32_t kFormatVersion = 2;
-  void serialize(std::ostream& os,
-                 std::uint32_t version = kFormatVersion) const;
-  static LiteralPrefilter load(std::istream& is);
-  // Zero-copy load over `blob` (a serialized prefilter, possibly followed
-  // by trailing bytes): a v2 blob whose base address is 64-byte aligned is
-  // borrowed in place — the mapping must then outlive the prefilter and
-  // every copy of it — while v1 blobs and unaligned bases fall back to
-  // owned tables, same semantics. `consumed`, when non-null, receives the
-  // number of bytes the serialized prefilter occupied.
-  static LiteralPrefilter load(std::span<const std::byte> blob,
-                               std::size_t* consumed = nullptr);
-  // True when this prefilter's tables are borrowed views into an external
-  // mapping rather than owned storage.
-  bool zero_copy() const { return next_.borrowed(); }
-
  private:
   friend class StreamingMatcher;
+  // Test-only access (tests/support): drives the slicing route with small
+  // slice sizes, which product code never uses.
+  friend struct PrefilterTestPeer;
 
   struct Keyword {
     std::string literal;
@@ -302,9 +198,8 @@ class LiteralPrefilter {
   };
 
   // One compiled Aho–Corasick automaton: dense goto table over a reduced
-  // alphabet, fail links folded in, flattened per-state output lists. The
-  // main (serialized) tables and the derived dense-shard sub-automaton
-  // share this shape, one compiler, and one walk.
+  // alphabet, fail links folded in, flattened per-state output lists.
+  // Only the dense shards' literals are ever compiled into one.
   struct AcTables {
     std::array<std::uint16_t, 256> alpha{};
     std::size_t alpha_size = 0;
@@ -315,8 +210,7 @@ class LiteralPrefilter {
     std::vector<std::size_t> out_ids;
   };
 
-  // Compiles `keywords` (in order — table layout is order-deterministic,
-  // which the artifact verifier's recompile-and-compare relies on).
+  // Compiles `keywords` (in order — table layout is order-deterministic).
   static AcTables compile_automaton(const std::vector<Keyword>& keywords);
 
   // Resumable walk over `t`: advances `state` across `text`, appending
@@ -330,78 +224,45 @@ class LiteralPrefilter {
                              std::vector<std::size_t>& out,
                              std::size_t n_seen, std::size_t stop_at);
 
-  // Recomputes everything derived from the raw registrations that is not
-  // part of the automaton tables proper (shared by build() and load()).
-  // Includes the Teddy plan and the dense-shard routing state: rebuilt
-  // from the registrations at every build() AND at load() — the
-  // serialized `.kpf` layout is unchanged, and built and loaded
-  // prefilters route identically.
-  void finalize_derived();
-
-  // True when scans route through the Teddy first stage at all (the knob
-  // allows it, a plan exists, and not every shard is dense-routed);
-  // route_teddy() additionally checks the per-text size guard.
-  bool use_teddy() const {
-    return first_stage_ == FirstStage::kAuto && teddy_.has_value() &&
-           !teddy_dense_;
-  }
-  // True when this text should go through the Teddy first stage.
-  bool route_teddy(std::string_view text) const;
+  // candidates_into() with the slicing route's parameters explicit: texts
+  // up to `whole_limit` bytes run one Teddy pass that fills `hints`,
+  // longer ones go through the slicer (prefilter.cpp) in `slice`-byte
+  // windows, the same one StreamingMatcher runs oversized chunks through.
+  void collect(std::string_view text, std::vector<std::size_t>& out,
+               teddy::HitBuffer& hits, PrefilterStats* stats,
+               std::vector<std::uint32_t>* hints, std::size_t whole_limit,
+               std::size_t slice) const;
 
   std::vector<Keyword> keywords_;
   std::vector<std::size_t> fallback_raw_;  // as registered, may repeat
   std::vector<std::size_t> fallback_;      // derived: sorted, deduplicated
   std::optional<teddy::PlanSet> teddy_;    // derived: SIMD first stage
   // Derived dense-shard routing (per-shard kDenseRouteHitsPerByte): flags
-  // indexed like the plan set's shards, their count, the sub-automaton
-  // over exactly the flagged shards' literals, and whether ALL shards are
-  // dense (full-automaton route; the hybrid adds nothing then).
+  // indexed like the plan set's shards, their count, the automaton over
+  // exactly the flagged shards' literals, and whether ALL shards are
+  // dense (the automaton then covers every literal and Teddy never runs).
   std::vector<std::uint8_t> dense_shard_;
   std::size_t n_dense_shards_ = 0;
   AcTables dense_;
   bool teddy_dense_ = false;
-  FirstStage first_stage_ = FirstStage::kAuto;
   std::size_t n_ids_ = 0;
   std::size_t id_limit_ = 0;  // max registered id + 1 (dedup bitmap size)
   std::size_t n_automaton_ids_ = 0;  // distinct ids reachable via literals
   bool built_ = false;
 
-  // Parses one v2 blob: header, registrations, section directory, then
-  // either borrows the table sections in place (`borrow`, requires a
-  // 64-byte-aligned base) or copies them into owned storage. Shared by
-  // the istream and span load paths.
-  static LiteralPrefilter parse_v2(std::span<const std::byte> blob,
-                                   bool borrow, std::size_t* consumed);
-  // Post-load structural validation + derived-state rebuild, shared by
-  // every load path (v1 istream, v2 owned, v2 borrowed).
-  void validate_loaded();
-
-  // Dense goto table over a reduced alphabet: only bytes that occur in
-  // some literal get a column; any other byte resets to the root. The
-  // main tables are ownership-abstracted (TableRef): owned after build()
-  // and v1/istream loads, borrowed views into the caller's mapping after
-  // a zero-copy v2 load.
   static constexpr std::uint16_t kNoCode = 0xFFFF;
-  std::array<std::uint16_t, 256> alpha_{};
-  std::size_t alpha_size_ = 0;
-  TableRef<std::int32_t> next_;       // n_states × alpha_size_
-  TableRef<std::int32_t> out_link_;   // nearest suffix state with output
-  TableRef<std::int32_t> out_begin_;  // per-state slice into out_ids_
-  TableRef<std::int32_t> out_end_;
-  TableRef<std::size_t> out_ids_;
 };
 
 // Resumable cursor over a LiteralPrefilter for data that arrives in
 // chunks. feed() carries the first stage's state across chunk boundaries.
-// On the automaton path the DFA state *is* the bounded tail buffer: it
-// encodes exactly the longest literal prefix ending at the boundary (at
-// most longest-literal−1 trailing bytes), so a literal straddling two
-// chunks is recognized the moment its last byte arrives, with no replay of
-// previous chunks. On the Teddy path the cursor keeps the last
-// longest-literal−1 raw bytes instead and scans them glued to each new
-// chunk — every occurrence ending inside a chunk lies inside that window,
-// and re-confirmed ids deduplicate — so both paths report exactly the
-// candidate set of the concatenation.
+// Dense-shard literals walk the dense automaton, whose DFA state *is* the
+// bounded tail buffer: it encodes exactly the longest literal prefix
+// ending at the boundary, so a literal straddling two chunks is recognized
+// the moment its last byte arrives, with no replay. The Teddy shards keep
+// the last longest-literal−1 raw bytes instead and scan them glued to the
+// next bytes — every occurrence ending past the tail starts inside that
+// window, and re-confirmed ids deduplicate — so the cursor reports exactly
+// the candidate set of the concatenation.
 // finish() merges what has been seen so far with the fallback ids into the
 // same sorted, deduplicated candidate set one-shot candidates() would
 // return for the concatenation of all fed chunks. finish() is a snapshot:
@@ -425,14 +286,16 @@ class StreamingMatcher {
   std::vector<std::size_t> finish();
   void finish_into(std::vector<std::size_t>& out);
 
-  // Rewinds to the start-of-text state for the next document.
+  // Rewinds to the start-of-text state for the next document. Costs
+  // O(ids found so far), not O(id_count).
   void reset();
 
-  // Re-targets the cursor at `prefilter` — possibly a different automaton —
-  // resizing the dedup bitmap and rewinding. Equivalent to constructing a
-  // fresh matcher, but reuses the existing buffers: rebinding to an
-  // automaton of the same id capacity performs no heap allocation. This is
-  // how a recycled engine::Scratch re-arms its streaming cursor.
+  // Re-targets the cursor at `prefilter` — possibly a different one —
+  // growing the dedup bitmap if needed and rewinding. Equivalent to
+  // constructing a fresh matcher, but reuses the existing buffers:
+  // rebinding to a prefilter of no larger id capacity performs no heap
+  // allocation. This is how a recycled engine::Scratch re-arms its
+  // streaming cursor.
   void rebind(const LiteralPrefilter& prefilter);
 
   std::size_t bytes_fed() const { return bytes_fed_; }
@@ -442,17 +305,18 @@ class StreamingMatcher {
   // Scans window_ (carry tail + deferred bytes), confirms the hits, and
   // trims the window back to the carry tail.
   void scan_window();
+  // Clears the dedup marks of every id found so far and empties found_.
+  void forget_found();
 
   const LiteralPrefilter* pf_;
-  std::int32_t state_ = 0;
-  // Cursor into the dense-shard sub-automaton (hybrid-routed prefilters):
-  // dense literals stream byte-at-a-time as chunks arrive, while sparse
-  // shards batch through feed_teddy — the two cursors share seen_/found_.
+  // Cursor into the dense-shard automaton: dense literals stream
+  // byte-at-a-time as chunks arrive, while sparse shards batch through
+  // feed_teddy — the two cursors share seen_/found_.
   std::int32_t dense_state_ = 0;
   std::size_t bytes_fed_ = 0;
   std::size_t n_seen_ = 0;
   std::vector<std::uint8_t> seen_;    // per-id dedup bitmap
-  std::vector<std::size_t> found_;    // automaton ids, discovery order
+  std::vector<std::size_t> found_;    // literal ids, discovery order
   std::string window_;                // teddy: carry tail + unscanned bytes
   std::size_t pending_ = 0;           // teddy: unscanned byte count
   teddy::HitBuffer hits_;             // teddy: reusable candidate positions

@@ -716,8 +716,8 @@ std::size_t Plan::confirm(std::string_view text, const HitBuffer& hits,
                         lit.text.size() - off - k_) != 0) {
           continue;
         }
+        out.push_back(lit.id);  // before the mark: a throw leaves none
         seen[lit.id] = 1;
-        out.push_back(lit.id);
         if (hint_at != nullptr) {
           (*hint_at)[lit.id] = static_cast<std::uint32_t>(at - off);
         }
@@ -794,7 +794,7 @@ std::size_t PlanSet::find(std::string_view text, HitBuffer& hits,
     if (n_seen >= stop_at) break;
     if (skip_shard != nullptr && i < skip_shard->size() &&
         (*skip_shard)[i] != 0) {
-      continue;  // routed elsewhere (dense-shard automaton walk)
+      continue;  // routed to the dense-shard automaton walk
     }
     const Plan& shard = shards_[i];
     shard.scan(text, hits);

@@ -1,7 +1,7 @@
 // Teddy-style vectorized literal first stage for the prefilter.
 //
-// The Aho–Corasick automaton walk (prefilter.h) is byte-at-a-time: every
-// scanned byte costs a dependent table load, so single-stream throughput is
+// An Aho–Corasick automaton walk is byte-at-a-time: every scanned byte
+// costs a dependent table load, so single-stream throughput is
 // capped by load latency no matter how literal-friendly the database is.
 // Hyperscan's Teddy algorithm trades the automaton for SIMD nibble tables:
 // a K-byte (1–4) window of every registered literal is folded into
@@ -83,8 +83,8 @@ namespace kizzle::match::teddy {
 // One first-stage candidate: some bucket literal's K-byte window occurs at
 // text[at .. at+K). `buckets` is the bitmask of buckets to confirm (16
 // bits so Fat plans fit; 8-bucket plans use the low byte). Positions are
-// 32-bit: scanned units are samples/stream windows, not multi-gigabyte
-// blobs (callers guard and fall back past 4 GiB).
+// 32-bit: scanned units are samples/stream windows; the prefilter slices
+// longer texts.
 struct Hit {
   std::uint32_t at = 0;
   std::uint16_t buckets = 0;
@@ -98,7 +98,7 @@ struct Hit {
 using HitBuffer = std::vector<Hit>;
 
 // "No position hint" sentinel for per-id hint arrays (positions fit 32
-// bits — callers fall back before 4 GiB texts ever reach a plan).
+// bits — longer texts are sliced before they reach a plan).
 inline constexpr std::uint32_t kNoHint = 0xFFFFFFFFu;
 
 enum class Impl { kScalar, kSsse3, kAvx2 };
@@ -178,8 +178,9 @@ class Plan {
   // marked in `seen` (indexed by id, sized by the caller) is marked and
   // appended to `out`. Returns the updated seen-count; stops early once it
   // reaches `stop_at` (every filterable id found). `hint_at`, when
-  // non-null (indexed by id, caller-initialized to kNoHint), receives the
-  // start position of the id's leftmost literal occurrence — hits ascend
+  // non-null (indexed by id, sized by the caller), receives for every id
+  // this call newly marks the start position of its leftmost literal
+  // occurrence — hits ascend
   // and each literal has one fixed window offset, so the first confirmed
   // occurrence is the leftmost one.
   std::size_t confirm(std::string_view text, const HitBuffer& hits,

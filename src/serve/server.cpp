@@ -437,27 +437,11 @@ ScanServer::SwapResult ScanServer::deploy(
 }
 
 ScanServer::SwapResult ScanServer::deploy_artifact(std::istream& artifact) {
-  // The artifact is consumed twice (lint-verify, then load), so buffer it
-  // once — deploys are rare and artifacts are small next to scan traffic.
-  std::string bytes{std::istreambuf_iterator<char>(artifact),
-                    std::istreambuf_iterator<char>()};
   try {
-    if (cfg_.lint_on_swap) {
-      // The full `kizzle lint` gate, including recompile-and-compare
-      // verification of the shipped prefilter tables: a bad release is
-      // refused here, at the last hop, even if every upstream gate was
-      // skipped.
-      std::istringstream lint_in(bytes);
-      const analyze::Report report = analyze::analyze_artifact(lint_in);
-      if (!report.clean()) {
-        bump(counters_->swaps_rejected);
-        return {false, epoch(), lint_reason(report)};
-      }
-    }
-    std::istringstream load_in(bytes);
-    auto db = std::make_shared<engine::Database>(
-        engine::Database::from_artifact(load_in));
-    return publish(std::move(db));
+    // A `.kpf` holds signature source only, so loading it compiles it;
+    // deploy() then lint-gates the compiled database like any other.
+    return deploy(std::make_shared<const engine::Database>(
+        engine::Database::from_artifact(artifact)));
   } catch (const std::exception& e) {
     // Malformed bundles throw the typed loader taxonomy; at the serving
     // edge that is a refused deploy, not a crashed server.

@@ -62,11 +62,10 @@
 //     scan.
 //   - streams pin their epoch at open_stream() and finish on it, no
 //     matter how many swaps happen mid-stream (a stream's candidate
-//     cursor is only meaningful against the automaton it was opened on).
+//     cursor is only meaningful against the prefilter it was opened on).
 //   - deploys are *gated*: unless lint_on_swap is off, the incoming
-//     database/artifact runs the full `kizzle lint` analysis
-//     (analyze/analyze.h — for artifacts that includes the
-//     recompile-and-compare verification) and error-severity findings
+//     database (an artifact is compiled first) runs the full `kizzle
+//     lint` analysis (analyze/analyze.h) and error-severity findings
 //     refuse the flip. The rejection is typed (SwapResult) and counted
 //     (ServerStats::swaps_rejected); the serving epoch is untouched.
 //
@@ -229,9 +228,9 @@ class ScanServer {
 
   // Lint-gates (per config) and atomically publishes a new epoch.
   SwapResult deploy(std::shared_ptr<const engine::Database> db);
-  // Same, from `.kpf` artifact bytes: the artifact is lint-verified
-  // (including recompile-and-compare) before it is loaded for serving.
-  // Malformed artifacts are refused (typed reason), never thrown.
+  // Same, from `.kpf` artifact bytes: the embedded signatures are
+  // compiled, then lint-gated like deploy(). Malformed artifacts are
+  // refused (typed reason), never thrown.
   SwapResult deploy_artifact(std::istream& artifact);
   // Incremental deploy from `KZDELTA` bytes: parses the delta, lint-gates
   // it with analyze_delta against the live database (per config), applies

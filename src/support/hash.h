@@ -18,15 +18,12 @@ std::uint64_t fnv1a64(std::span<const std::uint32_t> symbols);
 std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);
 
 // Artifact checksum primitive shared by every binary release format
-// (`.kpf` bundles, serialized prefilters, `KZDELTA` deltas) and by the
-// structure-aware fuzz mutator that has to re-seal what it mutates.
-// Word-at-a-time FNV-style mix: the automaton tables run to megabytes for
-// large databases, and a per-byte checksum loop showed up as the dominant
-// cost of artifact loading. The tail fold (0xA5-seeded) makes the call
-// granularity part of the sum: writer and reader must call this with
-// identical block sizes in identical order. The v2 formats therefore
-// checksum their whole payload in a SINGLE call, which is also what lets
-// a zero-copy loader verify a borrowed mapping in one pass.
+// (`.kpf` bundles, `KZDELTA` deltas) and by the structure-aware fuzz
+// mutator that has to re-seal what it mutates. Word-at-a-time FNV-style
+// mix. The tail fold (0xA5-seeded) makes the call granularity part of the
+// sum: writer and reader must call this with identical block sizes in
+// identical order, so every format checksums its sealed range in a
+// SINGLE call.
 inline constexpr std::uint64_t kChecksumBasis = 0xCBF29CE484222325ull;
 void checksum_update(std::uint64_t& sum, const void* p, std::size_t n);
 

@@ -8,10 +8,11 @@
 //   * the kitgen pipeline's own signature databases lint clean — the
 //     deployment gate must never veto what the signature compiler
 //     actually produces;
-//   * artifact verification — a round-tripped artifact is clean, a
-//     tampered prefilter (wrong literal under a signature's id) is an
-//     artifact-mismatch error, and every committed `.kpf` corpus seed
-//     lints clean;
+//   * artifacts — a round-tripped artifact lints exactly like its compiled
+//     database, a bundle whose embedded source does not compile is a
+//     typed loader rejection (there are no shipped tables to diverge from
+//     the source any more), and every committed `.kpf` corpus seed lints
+//     clean;
 //   * dense shards are reported once the estimated first-stage hit rate
 //     passes the routing threshold.
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "engine/engine.h"
 #include "kitgen/stream.h"
 #include "match/pattern.h"
+#include "support/errors.h"
 
 namespace kizzle::analyze {
 namespace {
@@ -209,37 +211,24 @@ std::vector<core::DeployedSignature> two_signatures() {
   return {a, b};
 }
 
-TEST(AnalyzeArtifact, CleanRoundTrip) {
+TEST(AnalyzeArtifact, CleanRoundTripLintsLikeItsDatabase) {
   std::stringstream os;
   core::save_artifact(os, two_signatures());
   const Report report = analyze_artifact(os);
-  EXPECT_EQ(report.count(Check::kArtifactMismatch), 0u);
   EXPECT_TRUE(report.clean());
+  const Report direct =
+      analyze_database(engine::Database::compile(two_signatures()));
+  EXPECT_EQ(report.findings.size(), direct.findings.size());
 }
 
-TEST(AnalyzeArtifact, TamperedTablesAreOneMismatchError) {
-  // A structurally valid prefilter whose tables are NOT the compilation
-  // of the embedded source: signature 0's id registered under signature
-  // 1's literal and vice versa. The bundle's checksum is consistent —
-  // only recompile-and-compare catches it.
-  const auto sigs = two_signatures();
-  match::LiteralPrefilter tampered;
-  tampered.add(0, "qrstuvwx");
-  tampered.add(1, "abcdefgh");
-  tampered.build();
+TEST(AnalyzeArtifact, UncompilableEmbeddedSourceIsATypedRejection) {
+  // The seal is intact, but the embedded source cannot be compiled by
+  // this binary: the bundle is malformed, not a finding.
+  auto sigs = two_signatures();
+  sigs[1].pattern = "unbalanced(paren";
   std::stringstream os;
-  core::save_artifact(os, sigs, &tampered);
-
-  const Report report = analyze_artifact(os);
-  EXPECT_EQ(report.count(Check::kArtifactMismatch), 1u);
-  EXPECT_FALSE(report.clean());
-
-  // The same bundle with verification off is not flagged.
-  os.clear();
-  os.seekg(0);
-  Options opts;
-  opts.verify_artifact = false;
-  EXPECT_EQ(analyze_artifact(os, opts).count(Check::kArtifactMismatch), 0u);
+  core::save_artifact(os, sigs);
+  EXPECT_THROW(analyze_artifact(os), kizzle::InputError);
 }
 
 TEST(AnalyzeArtifact, CommittedCorpusSeedsLintClean) {
@@ -254,7 +243,7 @@ TEST(AnalyzeArtifact, CommittedCorpusSeedsLintClean) {
     EXPECT_EQ(report.errors(), 0u) << entry.path();
     ++checked;
   }
-  EXPECT_GE(checked, 2u);  // demo2.kpf and tiny.kpf at minimum
+  EXPECT_GE(checked, 2u);  // demo.kpf and tiny.kpf at minimum
 }
 
 TEST(AnalyzeDatabase, DenseShardsAreReported) {

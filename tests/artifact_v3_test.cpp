@@ -1,12 +1,11 @@
-// Zero-copy artifact layer tests (core/sigdb.h, engine/engine.h,
-// serve/server.h): the version-2 bundle through every load path — istream
-// copy-in, borrowed std::span views, and an mmap'd file whose lifetime the
-// database must manage — plus KZDELTA delta artifacts end to end: save /
-// load / apply / retire, lineage-fingerprint enforcement, the serve
-// deploy_delta gate, and the watcher's partial-write debounce. The
-// differential oracles (mmap vs istream over a kitgen corpus, pinned
-// stream across an epoch swap) are the ones that only bite under ASan:
-// a dangling table view has no crash signature in a plain build.
+// Release artifact tests (core/sigdb.h, engine/engine.h, serve/server.h):
+// the `.kpf` v3 bundle — signatures plus lineage, every matcher structure
+// derived at load — through the load, serve and lint paths, the refusal
+// of the retired v1/v2 layouts, plus KZDELTA delta artifacts end to end:
+// save / load / apply / retire, lineage-fingerprint enforcement, the
+// serve deploy_delta gate, and the watcher's partial-write debounce. The
+// pinned-stream test only bites under ASan: a stream outliving its
+// epoch's database has no crash signature in a plain build.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -33,7 +32,6 @@
 #include "serve/loadgen.h"
 #include "serve/server.h"
 #include "support/errors.h"
-#include "support/mapped_file.h"
 
 namespace kizzle {
 namespace {
@@ -52,7 +50,7 @@ const serve::ServeFixture& fixture() {
 std::string write_temp(const std::string& bytes, const std::string& tag) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
-       ("kizzle_artifact_v2_" + tag + "_" + std::to_string(::getpid())))
+       ("kizzle_artifact_v3_" + tag + "_" + std::to_string(::getpid())))
           .string();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
@@ -71,9 +69,9 @@ void expect_same_signatures(const std::vector<core::DeployedSignature>& a,
   }
 }
 
-// ------------------------- bundle v2 load paths -------------------------
+// --------------------------- bundle v3 ---------------------------
 
-TEST(ArtifactV2, IstreamRoundTripPreservesSignatures) {
+TEST(ArtifactV3, IstreamRoundTripPreservesSignatures) {
   const serve::ServeFixture& fx = fixture();
   std::istringstream is(fx.artifact);
   std::vector<core::DeployedSignature> loaded;
@@ -83,121 +81,95 @@ TEST(ArtifactV2, IstreamRoundTripPreservesSignatures) {
   EXPECT_EQ(db.fingerprint(), fx.database->fingerprint());
 }
 
-TEST(ArtifactV2, SpanLoadBorrowsTablesWhenAligned) {
+// The layout carries nothing derived: header, the signature text, the
+// lineage fingerprint and the seal — so its size is the text's plus 40.
+TEST(ArtifactV3, ArtifactIsSignaturesPlusLineageOnly) {
   const serve::ServeFixture& fx = fixture();
-  // A 64-byte-aligned copy of the artifact: the prefilter tables must be
-  // views into it, not owned copies. One byte of skew must demote the
-  // load to owned copies with identical results.
-  std::vector<std::byte> raw(fx.artifact.size() + 64);
-  auto aligned = reinterpret_cast<std::byte*>(
-      (reinterpret_cast<std::uintptr_t>(raw.data()) + 63) & ~std::uintptr_t{63});
-  std::memcpy(aligned, fx.artifact.data(), fx.artifact.size());
-  const core::BundleArtifact borrowed =
-      core::load_artifact({aligned, fx.artifact.size()});
-  EXPECT_TRUE(borrowed.prefilter.zero_copy());
-  expect_same_signatures(borrowed.signatures, fx.signatures);
-
-  std::vector<std::byte> skewed_buf(fx.artifact.size() + 65);
-  std::byte* skewed = reinterpret_cast<std::byte*>(
-      ((reinterpret_cast<std::uintptr_t>(skewed_buf.data()) + 63) &
-       ~std::uintptr_t{63})) + 1;
-  std::memcpy(skewed, fx.artifact.data(), fx.artifact.size());
-  const core::BundleArtifact owned =
-      core::load_artifact({skewed, fx.artifact.size()});
-  EXPECT_FALSE(owned.prefilter.zero_copy());
-  expect_same_signatures(owned.signatures, fx.signatures);
+  const std::string text = core::save_signatures(fx.signatures);
+  ASSERT_EQ(fx.artifact.size(), 24 + text.size() + 16);
+  EXPECT_EQ(fx.artifact.compare(24, text.size(), text), 0);
+  std::uint64_t fp = 0;
+  std::memcpy(&fp, fx.artifact.data() + 24 + text.size(), sizeof fp);
+  EXPECT_EQ(fp, core::fingerprint(fx.signatures));
+  std::istringstream is(fx.artifact);
+  EXPECT_EQ(core::load_artifact(is).fingerprint, fp);
 }
 
-// The load-path differential oracle: over a full kitgen corpus, a
-// database loaded through the mmap zero-copy path must produce verdicts
-// byte-identical to the istream copy-in path.
-TEST(ArtifactV2, MmapVsIstreamVerdictsAgreeOnKitgenCorpus) {
+// Loading compiles deterministically: two loads of one artifact derive
+// identical first stages, and the loaded database scans exactly like the
+// pipeline's own incrementally maintained one over a kitgen corpus.
+TEST(ArtifactV3, LoadedDatabaseScansLikeTheCompiledOne) {
   const serve::ServeFixture& fx = fixture();
-  const std::string path = write_temp(fx.artifact, "oracle");
-
-  auto mapping = std::make_shared<const support::MappedFile>(
-      support::MappedFile::open(path));
-  const engine::Database mmap_db =
-      engine::Database::from_artifact(mapping);
-  std::istringstream is(fx.artifact);
-  const engine::Database stream_db = engine::Database::from_artifact(is);
-  EXPECT_EQ(mmap_db.fingerprint(), stream_db.fingerprint());
+  std::istringstream is1(fx.artifact), is2(fx.artifact);
+  const engine::Database a = engine::Database::from_artifact(is1);
+  const engine::Database b = engine::Database::from_artifact(is2);
+  EXPECT_EQ(a.prefilter().dense_shard_flags(),
+            b.prefilter().dense_shard_flags());
+  const auto regs_a = a.prefilter().registrations();
+  const auto regs_b = b.prefilter().registrations();
+  ASSERT_EQ(regs_a.size(), regs_b.size());
+  for (std::size_t i = 0; i < regs_a.size(); ++i) {
+    EXPECT_EQ(regs_a[i].literal, regs_b[i].literal);
+    EXPECT_EQ(regs_a[i].id, regs_b[i].id);
+  }
 
   engine::Scratch s1, s2;
   std::size_t matched = 0;
   for (const serve::CorpusDoc& doc : fx.docs) {
-    const auto a = engine::first_match(mmap_db, doc.text, s1);
-    const auto b = engine::first_match(stream_db, doc.text, s2);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "verdicts diverge";
-    if (a) {
-      EXPECT_EQ(a->sig_index, b->sig_index);
-      EXPECT_EQ(std::string(a->name), std::string(b->name));
+    EXPECT_EQ(a.prefilter().candidates(doc.text),
+              fx.database->prefilter().candidates(doc.text));
+    const auto x = engine::first_match(a, doc.text, s1);
+    const auto y = engine::first_match(*fx.database, doc.text, s2);
+    ASSERT_EQ(x.has_value(), y.has_value()) << "verdicts diverge";
+    if (x) {
+      EXPECT_EQ(x->sig_index, y->sig_index);
       ++matched;
     }
   }
   EXPECT_GT(matched, 0u) << "oracle corpus never matched — vacuous test";
-  std::remove(path.c_str());
 }
 
-TEST(ArtifactV2, Version1ArtifactStillLoads) {
+// Bundles of the retired layouts (committed as released, under
+// fuzz/regressions/load_artifact/) are refused everywhere with a typed
+// error, and a serving epoch is never replaced by one.
+TEST(ArtifactV3, RetiredLayoutsAreRefusedEverywhere) {
   const serve::ServeFixture& fx = fixture();
-  std::ostringstream os;
-  core::save_artifact(os, fx.signatures, nullptr, /*version=*/1);
-  const std::string v1 = os.str();
-
-  std::istringstream is(v1);
-  std::vector<core::DeployedSignature> loaded;
-  const engine::Database db = engine::Database::from_artifact(is, &loaded);
-  expect_same_signatures(loaded, fx.signatures);
-  EXPECT_EQ(db.fingerprint(), fx.database->fingerprint());
-
-  // The span loader accepts v1 too (replaying through the stream path);
-  // nothing can be borrowed from the unaligned v1 layout.
-  std::vector<std::byte> buf(v1.size());
-  std::memcpy(buf.data(), v1.data(), v1.size());
-  const core::BundleArtifact bundle = core::load_artifact(buf);
-  EXPECT_FALSE(bundle.prefilter.zero_copy());
-  expect_same_signatures(bundle.signatures, fx.signatures);
-}
-
-// Lifetime: the database holds its mapping alive. After the caller drops
-// every other reference, scans must still read valid table memory — under
-// ASan this is the unmap-while-borrowed test.
-TEST(ArtifactV2, DatabaseKeepsMappingAliveAfterCallerDrops) {
-  const serve::ServeFixture& fx = fixture();
-  const std::string path = write_temp(fx.artifact, "keepalive");
-  std::unique_ptr<engine::Database> db;
-  {
-    auto mapping = std::make_shared<const support::MappedFile>(
-        support::MappedFile::open(path));
-    db = std::make_unique<engine::Database>(
-        engine::Database::from_artifact(std::move(mapping)));
-  }  // the only external reference to the mapping is gone
-  std::remove(path.c_str());
-
-  engine::Scratch scratch;
-  std::size_t matched = 0;
-  for (const serve::CorpusDoc& doc : fx.docs) {
-    if (engine::first_match(*db, doc.text, scratch)) ++matched;
+  serve::ScanServer server(fx.database, serve::ServerConfig{});
+  const std::uint64_t epoch0 = server.epoch();
+  const std::filesystem::path dir = std::filesystem::path(KIZZLE_FUZZ_DIR) /
+                                    "regressions" / "load_artifact";
+  std::size_t checked = 0;
+  for (const char* name : {"v1_tiny.kpf", "v2_demo.kpf", "kzpf_tiny.kzpf"}) {
+    std::ifstream in(dir / name, std::ios::binary);
+    ASSERT_TRUE(in) << name;
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    std::istringstream is(bytes);
+    EXPECT_THROW(engine::Database::from_artifact(is), ArtifactError) << name;
+    std::istringstream serve_in(bytes);
+    const auto swap = server.deploy_artifact(serve_in);
+    EXPECT_FALSE(swap.accepted) << name;
+    EXPECT_FALSE(swap.reason.empty()) << name;
+    ++checked;
   }
-  EXPECT_GT(matched, 0u);
+  EXPECT_EQ(checked, 3u);
+  EXPECT_EQ(server.epoch(), epoch0);
+  EXPECT_EQ(server.database(), fx.database);
+  server.stop();
 }
 
-// A stream pinned to an mmap-backed epoch keeps that epoch's mapping
-// alive across a hot swap that retires it: the stream must finish on its
-// opening database reading valid memory (ASan catches the alternative).
-TEST(ArtifactV2, PinnedStreamSurvivesSwapAwayFromMmapEpoch) {
+// A stream pinned to an epoch keeps that epoch's database alive across a
+// hot swap that retires it: the stream must finish on its opening
+// database reading valid memory (ASan catches the alternative).
+TEST(ArtifactV3, PinnedStreamSurvivesSwapAwayFromItsEpoch) {
   const serve::ServeFixture& fx = fixture();
-  const std::string path = write_temp(fx.artifact, "pinned");
-  auto mapping = std::make_shared<const support::MappedFile>(
-      support::MappedFile::open(path));
-  auto mmap_db = std::make_shared<const engine::Database>(
-      engine::Database::from_artifact(std::move(mapping)));
-  std::remove(path.c_str());
+  std::istringstream is(fx.artifact);
+  auto loaded = std::make_shared<const engine::Database>(
+      engine::Database::from_artifact(is));
 
   serve::ServerConfig cfg;
   cfg.workers = 1;
-  serve::ScanServer server(std::move(mmap_db), cfg);
+  serve::ScanServer server(std::move(loaded), cfg);
   const std::uint64_t epoch0 = server.epoch();
 
   // Pick a doc the original database matches, so the verdict proves the
@@ -221,7 +193,7 @@ TEST(ArtifactV2, PinnedStreamSurvivesSwapAwayFromMmapEpoch) {
             serve::RequestStatus::kOk);
 
   // Swap the serving database away: the server drops its reference to the
-  // mmap epoch; only the pinned stream still holds it.
+  // loaded epoch; only the pinned stream still holds it.
   std::istringstream art(fx.swap_artifact);
   ASSERT_TRUE(server.deploy_artifact(art).accepted);
 

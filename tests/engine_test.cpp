@@ -5,8 +5,11 @@
 //     no shared prefilter) on a kitgen corpus, and first-event semantics
 //     must equal the brute-force first match, one-shot and under every
 //     chunking of the streamed path;
+//   * reference first stage — the database's prefilter returns exactly the
+//     candidates of the test-only reference automaton (tests/testing);
 //   * scratch recycling — a Scratch reused across scans, streams and even
-//     databases must produce exactly the events a fresh one does;
+//     databases (whose ids swap between literal and fallback roles) must
+//     produce exactly the events a fresh one does;
 //   * zero-allocation steady state — with a warm Scratch, engine::scan
 //     performs no heap allocation at all, asserted via a global
 //     operator-new hook.
@@ -28,6 +31,7 @@
 #include "match/pattern.h"
 #include "match/scanner.h"
 #include "support/rng.h"
+#include "testing/reference_automaton.h"
 #include "text/normalize.h"
 
 // ------------------------ operator-new hook ------------------------
@@ -232,9 +236,19 @@ TEST(EngineOracle, EverySplitPositionOfOneSampleMatchesOneShot) {
   }
 }
 
+TEST(EngineOracle, PrefilterCandidatesEqualReferenceAutomaton) {
+  const auto corpus = kitgen_corpus();
+  const Database db = Database::compile(corpus_signatures(corpus));
+  const testing::ReferenceAutomaton ref(db.prefilter());
+  ASSERT_GT(db.prefilter().fallback_count(), 0u);
+  for (const std::string& text : corpus) {
+    EXPECT_EQ(db.prefilter().candidates(text), ref.candidates(text));
+  }
+}
+
 // Pre-redesign SignatureBundle::match semantics: first confirmed candidate
-// in ascending index order. The engine must agree with a from-artifact
-// database as well (release automaton, no per-process rebuild).
+// in ascending index order. The engine must agree with a database loaded
+// from the `.kpf` artifact of the same signatures.
 TEST(EngineOracle, ArtifactDatabaseAgreesWithCompiledDatabase) {
   const auto corpus = kitgen_corpus();
   const auto sigs = corpus_signatures(corpus);
@@ -398,6 +412,40 @@ TEST(EngineScratch, RecycledScratchEqualsFreshScratch) {
       return ScanDecision::Continue;
     });
     expect_same_events(recycled_events, fresh_events, "stream");
+  }
+}
+
+// One Scratch alternating between two databases whose signature slots
+// swap roles — a literal-anchored pattern in one is a no-literal
+// (fallback) pattern in the other — must deliver a fresh Scratch's events
+// on every scan, spans included.
+TEST(EngineScratch, ScratchMovedBetweenSwappedDatabasesEqualsFresh) {
+  const auto spec = [](std::string name, std::string pattern) {
+    core::DeployedSignature s;
+    s.name = std::move(name);
+    s.family = "T";
+    s.pattern = std::move(pattern);
+    return s;
+  };
+  const Database a = Database::compile(std::vector<core::DeployedSignature>{
+      spec("lit", "kkmarker[0-9]{2}"), spec("weak", "zq[0-9]{3}zq")});
+  const Database b = Database::compile(std::vector<core::DeployedSignature>{
+      spec("weak", "zq[0-9]{3}zq"), spec("lit", "kkmarker[0-9]{2}"),
+      spec("more", "kkmarkerzz")});
+  ASSERT_EQ(a.prefilter().fallback_ids(), (std::vector<std::size_t>{1}));
+  ASSERT_EQ(b.prefilter().fallback_ids(), (std::vector<std::size_t>{0}));
+  const std::vector<std::string> texts = {
+      "zq123zq .... kkmarker42 .. zq456zq kkmarkerzz",
+      "kkmarker07 zq999zq", "nothing here", ""};
+  Scratch moved;
+  for (int round = 0; round < 3; ++round) {
+    for (const Database* db : {&a, &b}) {
+      for (const std::string& text : texts) {
+        Scratch fresh;
+        expect_same_events(all_events(*db, text, moved),
+                           all_events(*db, text, fresh), "moved scratch");
+      }
+    }
   }
 }
 

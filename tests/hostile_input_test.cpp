@@ -1,22 +1,25 @@
 // Hostile-input hardening tests (ROADMAP item 4): the ingest path fed
 // systematically corrupted bytes.
 //
-//   * mutation corpus — starting from a valid `.kpf` bundle and a valid
-//     serialized prefilter, every byte is bit-flipped and every prefix
-//     truncation is tried; each mutant must produce either a successful
-//     load or a kizzle::Error subclass. Any other exception type, crash,
+//   * mutation corpus — starting from a valid `.kpf` v3 bundle and a
+//     valid KZDELTA, every byte is bit-flipped and every prefix truncation
+//     is tried; each mutant must produce either a successful load or a
+//     kizzle::Error subclass. Any other exception type, crash,
 //     hang or sanitizer report (the asan/ubsan CI job runs this test) is
 //     a regression.
 //   * targeted header-field mutations — magic, version, endianness,
-//     declared sizes — must map to the documented taxonomy classes
-//     (ArtifactError for malformed, ResourceError for implausible
-//     sizes).
+//     declared sizes, the lineage fingerprint — must map to the
+//     documented taxonomy classes (ArtifactError for malformed,
+//     ResourceError for implausible sizes); retired layouts (v1/v2
+//     bundles with prebuilt tables, bare KZPF prefilter blobs) are
+//     refused with ArtifactError.
 //   * committed-corpus replay — every seed and regression input under
 //     fuzz/ (KIZZLE_FUZZ_DIR) is replayed through its loader on every
 //     ctest run, so fuzzing findings stay fixed forever.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,8 +28,8 @@
 
 #include "analyze/analyze.h"
 #include "core/sigdb.h"
-#include "match/prefilter.h"
 #include "support/errors.h"
+#include "support/hash.h"
 #include "text/normalize.h"
 #include "unpack/unpackers.h"
 
@@ -55,16 +58,6 @@ std::string valid_artifact_bytes() {
   return os.str();
 }
 
-std::string valid_prefilter_bytes() {
-  match::LiteralPrefilter pf;
-  pf.add(0, "documentwriteunescape");
-  pf.add(1, "evalstringfromcharcode");
-  pf.build();
-  std::ostringstream os;
-  pf.serialize(os);
-  return os.str();
-}
-
 // Runs one loader invocation on `bytes`. Success and kizzle::Error are
 // both acceptable; anything else fails the test with the mutation's
 // coordinates.
@@ -87,11 +80,6 @@ void expect_typed_rejection(const std::string& bytes, LoadFn load,
 void load_artifact_bytes(const std::string& bytes) {
   std::istringstream is(bytes);
   (void)core::load_artifact(is);
-}
-
-void load_prefilter_bytes(const std::string& bytes) {
-  std::istringstream is(bytes);
-  (void)match::LiteralPrefilter::load(is);
 }
 
 template <typename LoadFn>
@@ -130,27 +118,12 @@ void load_delta_bytes(const std::string& bytes) {
   (void)core::load_delta(is);
 }
 
-// The zero-copy span loader must be exactly as hostile-proof as the
-// istream loader it shadows.
-void load_artifact_span(const std::string& bytes) {
-  (void)core::load_artifact(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(bytes.data()), bytes.size()));
-}
-
 TEST(HostileInput, ArtifactSurvivesFullMutationSweep) {
   mutation_sweep(valid_artifact_bytes(), load_artifact_bytes);
 }
 
-TEST(HostileInput, ArtifactSpanLoaderSurvivesFullMutationSweep) {
-  mutation_sweep(valid_artifact_bytes(), load_artifact_span);
-}
-
 TEST(HostileInput, DeltaSurvivesFullMutationSweep) {
   mutation_sweep(valid_delta_bytes(), load_delta_bytes);
-}
-
-TEST(HostileInput, PrefilterSurvivesFullMutationSweep) {
-  mutation_sweep(valid_prefilter_bytes(), load_prefilter_bytes);
 }
 
 // --------------------- targeted header mutations ---------------------
@@ -190,13 +163,48 @@ TEST(HostileInput, ArtifactHugeDeclaredDbIsResourceError) {
   EXPECT_THROW(load_artifact_bytes(bytes), ResourceError);
 }
 
-TEST(HostileInput, PrefilterHugeDeclaredTableIsResourceError) {
-  // KZPF v2: the u64 at offset 16 (magic 4 + version 4 + endian 4 +
-  // pad 4) declares the payload size. A multi-terabyte claim must be
-  // refused before anything is allocated or read at that scale.
-  const std::string bytes =
-      with_u64_at(valid_prefilter_bytes(), 16, std::uint64_t{1} << 40);
-  EXPECT_THROW(load_prefilter_bytes(bytes), ResourceError);
+// Re-seals `bytes` (a v3 bundle) after a header edit: the checksum is the
+// trailing u64 over everything before it, so the edit reaches the check
+// it targets instead of dying at the seal.
+std::string resealed(std::string bytes) {
+  const std::size_t sealed = bytes.size() - 8;
+  std::uint64_t sum = kChecksumBasis;
+  checksum_update(sum, bytes.data(), sealed);
+  return with_u64_at(std::move(bytes), sealed, sum);
+}
+
+TEST(HostileInput, RetiredArtifactVersionsAreArtifactErrors) {
+  for (const std::uint32_t version : {1u, 2u, 4u}) {
+    std::string bytes = valid_artifact_bytes();
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + static_cast<std::size_t>(i)] =
+          static_cast<char>((version >> (8 * i)) & 0xFF);
+    }
+    try {
+      load_artifact_bytes(resealed(bytes));
+      ADD_FAILURE() << "version " << version << " accepted";
+    } catch (const ArtifactError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(HostileInput, BareKzpfBlobIsArtifactError) {
+  std::string bytes = valid_artifact_bytes();
+  bytes.replace(0, 8, "KZPF\x02\0\0\0", 8);
+  EXPECT_THROW(load_artifact_bytes(bytes), ArtifactError);
+}
+
+TEST(HostileInput, FingerprintMismatchIsArtifactError) {
+  // A sealed artifact whose recorded lineage is not its signature set's.
+  const std::string good = valid_artifact_bytes();
+  const std::size_t fp_at = good.size() - 16;
+  std::uint64_t fp = 0;
+  std::memcpy(&fp, good.data() + fp_at, sizeof fp);
+  EXPECT_THROW(load_artifact_bytes(resealed(with_u64_at(good, fp_at, fp ^ 1))),
+               ArtifactError);
 }
 
 TEST(HostileInput, TypedErrorsShareTheCommonBase) {
@@ -204,7 +212,7 @@ TEST(HostileInput, TypedErrorsShareTheCommonBase) {
   // class; verify the hierarchy is wired the way fuzz harnesses assume.
   EXPECT_THROW(load_artifact_bytes("KZBUNDLEgarbage"), Error);
   EXPECT_THROW(load_artifact_bytes("KZBUNDLEgarbage"), std::runtime_error);
-  EXPECT_THROW(load_prefilter_bytes("XXXX"), Error);
+  EXPECT_THROW(load_delta_bytes("XXXX"), Error);
 }
 
 // ------------------------- corpus replay -------------------------
@@ -235,19 +243,20 @@ std::string slurp(const std::filesystem::path& path) {
 TEST(HostileInput, CommittedArtifactCorpusReplays) {
   const auto files = corpus_files("load_artifact");
   ASSERT_FALSE(files.empty()) << "seed corpus missing from fuzz/";
+  std::size_t retired = 0;
   for (const auto& file : files) {
-    expect_typed_rejection(slurp(file), load_artifact_bytes,
-                           file.c_str(), 0);
+    const std::string name = file.filename().string();
+    if (name.rfind("v1_", 0) == 0 || name.rfind("v2_", 0) == 0 ||
+        name.rfind("kzpf_", 0) == 0) {
+      // Artifacts of retired layouts, committed as they were released.
+      EXPECT_THROW(load_artifact_bytes(slurp(file)), ArtifactError) << file;
+      ++retired;
+    } else {
+      expect_typed_rejection(slurp(file), load_artifact_bytes,
+                             file.c_str(), 0);
+    }
   }
-}
-
-TEST(HostileInput, CommittedPrefilterCorpusReplays) {
-  const auto files = corpus_files("prefilter_load");
-  ASSERT_FALSE(files.empty()) << "seed corpus missing from fuzz/";
-  for (const auto& file : files) {
-    expect_typed_rejection(slurp(file), load_prefilter_bytes,
-                           file.c_str(), 0);
-  }
+  EXPECT_EQ(retired, 3u) << "v1, v2 and KZPF refusal cases missing";
 }
 
 TEST(HostileInput, CommittedNormalizeCorpusNeverThrows) {
@@ -272,8 +281,8 @@ TEST(HostileInput, CommittedUnpackCorpusNeverThrows) {
   }
 }
 
-TEST(HostileInput, CommittedArtifactV2CorpusReplays) {
-  const auto files = corpus_files("artifact_v2");
+TEST(HostileInput, CommittedArtifactV3CorpusReplays) {
+  const auto files = corpus_files("artifact_v3");
   ASSERT_FALSE(files.empty()) << "seed corpus missing from fuzz/";
   for (const auto& file : files) {
     const std::string bytes = slurp(file);
@@ -281,7 +290,6 @@ TEST(HostileInput, CommittedArtifactV2CorpusReplays) {
       expect_typed_rejection(bytes, load_delta_bytes, file.c_str(), 0);
     } else {
       expect_typed_rejection(bytes, load_artifact_bytes, file.c_str(), 0);
-      expect_typed_rejection(bytes, load_artifact_span, file.c_str(), 0);
     }
   }
 }

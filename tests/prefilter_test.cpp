@@ -1,8 +1,10 @@
-// Tests for the shared Aho–Corasick literal prefilter (match/prefilter.h)
-// and the prefiltered scan paths built on it: unit behavior of the
-// automaton, fallback semantics for patterns with no usable literal, and
-// differential (oracle) equality between the prefiltered scanner and the
-// brute-force per-pattern search over randomized kitgen samples.
+// Tests for the shared literal prefilter (match/prefilter.h) and the
+// prefiltered scan paths built on it: unit behavior of the first stage,
+// fallback semantics for patterns with no usable literal, per-scan state
+// that costs O(candidates) yet never leaks between scans or databases,
+// and differential (oracle) equality against the reference automaton
+// (tests/testing) and the brute-force per-pattern search over randomized
+// kitgen samples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,12 +20,13 @@
 #include "match/prefilter.h"
 #include "match/scanner.h"
 #include "support/rng.h"
+#include "testing/reference_automaton.h"
 #include "text/normalize.h"
 
 namespace kizzle::match {
 namespace {
 
-// ---------------------------- automaton unit ----------------------------
+// ------------------------------ unit behavior ------------------------------
 
 TEST(LiteralPrefilter, ReportsOnlyPresentLiterals) {
   LiteralPrefilter pf;
@@ -77,7 +80,7 @@ TEST(LiteralPrefilter, RepeatedOccurrencesAreDeduplicated) {
   EXPECT_EQ(pf.candidates("dup dup dup dup"), (std::vector<std::size_t>{0}));
 }
 
-TEST(LiteralPrefilter, RebuildAfterAddExtendsTheAutomaton) {
+TEST(LiteralPrefilter, RebuildAfterAddExtendsTheLiteralSet) {
   LiteralPrefilter pf;
   pf.add(0, "first");
   pf.build();
@@ -117,9 +120,9 @@ TEST(LiteralPrefilter, RebuildIsIdempotent) {
 }
 
 TEST(LiteralPrefilter, IncrementalRebuildEqualsFreshBuild) {
-  // Grow one automaton across several build() generations; a second one
+  // Grow one prefilter across several build() generations; a second one
   // gets the same final registration set in one go. Candidate sets must
-  // be byte-identical on a variety of texts.
+  // be byte-identical on a variety of texts — and equal the reference.
   const std::vector<std::pair<std::size_t, std::string>> regs = {
       {0, "fromCharCode"}, {1, ""},      {2, "document"}, {3, "eval"},
       {4, ""},             {5, "Code"},  {6, "fromChar"}, {7, "xyz"},
@@ -138,8 +141,95 @@ TEST(LiteralPrefilter, IncrementalRebuildEqualsFreshBuild) {
       "", "fromCharCode", "document.eval", "only Code here", "xyzxyz",
       "fromChar and then Code", "nothing relevant at all"};
   EXPECT_EQ(grown.fallback_ids(), fresh.fallback_ids());
+  const testing::ReferenceAutomaton ref(fresh);
   for (const std::string& t : texts) {
     EXPECT_EQ(grown.candidates(t), fresh.candidates(t)) << t;
+    EXPECT_EQ(fresh.candidates(t), ref.candidates(t)) << t;
+  }
+}
+
+// ------------------------- per-scan state reuse -------------------------
+
+// Two prefilters over one id space whose ids swap roles: an id with a
+// Teddy-routed literal in one is a fallback id or a dense-shard id in the
+// other. One set of scan buffers (out, hits, hints — what engine::Scratch
+// owns) moves between them and must report exactly what fresh buffers
+// report: the same candidates, and for every candidate the same hint,
+// which is the reference automaton's leftmost occurrence or kNoHint. A
+// stale hint left by the other prefilter would seed confirmation past the
+// real match.
+TEST(LiteralPrefilter, ReusedBuffersAcrossDatabasesEqualFreshOnes) {
+  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
+  const auto short_lit = [&](std::size_t i) {
+    std::string lit(1, kAlpha[i % kAlpha.size()]);
+    if (i % 7 != 0) lit.push_back(kAlpha[(i / kAlpha.size()) % kAlpha.size()]);
+    return lit;
+  };
+  LiteralPrefilter a, b;
+  a.add(0, "needleA");
+  a.add(1, "");
+  b.add(0, "");
+  b.add(1, "needleB");
+  for (std::size_t i = 0; i < 512; ++i) {
+    // Ids 2..513: long Teddy literals in `a`, a dense shard in `b`.
+    a.add(2 + i, "long" + short_lit(i) + "lit" + std::to_string(i));
+    b.add(2 + i, short_lit(i));
+  }
+  b.add(600, "onlyinB");  // grows the id space past `a`'s
+  a.build();
+  b.build();
+  ASSERT_EQ(a.dense_shard_count(), 0u);
+  ASSERT_GT(b.dense_shard_count(), 0u);
+  ASSERT_TRUE(b.teddy_active());
+
+  const std::vector<std::string> texts = {
+      "zz needleA zz longa0lit0 needleB longbblit37 x9 onlyinB",
+      "..needleB..needleA..",
+      "longc2lit2 q7 7q needleA",
+      ""};
+  std::vector<std::size_t> out;
+  teddy::HitBuffer hits;
+  std::vector<std::uint32_t> hints;
+  for (int round = 0; round < 3; ++round) {
+    for (const LiteralPrefilter* pf : {&a, &b, &a}) {
+      const testing::ReferenceAutomaton ref(*pf);
+      for (const std::string& t : texts) {
+        pf->candidates_into(t, out, hits, nullptr, &hints);
+        std::vector<std::size_t> fresh_out;
+        teddy::HitBuffer fresh_hits;
+        std::vector<std::uint32_t> fresh_hints;
+        pf->candidates_into(t, fresh_out, fresh_hits, nullptr, &fresh_hints);
+        ASSERT_EQ(out, fresh_out) << t;
+        ASSERT_EQ(out, ref.candidates(t)) << t;
+        const auto starts = ref.leftmost_starts(t);
+        for (const std::size_t id : out) {
+          ASSERT_EQ(hints[id], fresh_hints[id]) << "id " << id << " in " << t;
+          if (hints[id] != teddy::kNoHint) {
+            ASSERT_EQ(hints[id], starts.at(id)) << "id " << id;
+          }
+        }
+      }
+    }
+  }
+  // The id that is fallback in `b` was hinted by `a` a scan earlier.
+  a.candidates_into(texts[1], out, hits, nullptr, &hints);
+  b.candidates_into(texts[1], out, hits, nullptr, &hints);
+  EXPECT_EQ(hints[0], teddy::kNoHint);
+  EXPECT_EQ(hints[1], 2u);
+}
+
+// The per-thread dedup bitmap is reset per scan for exactly the ids that
+// scan found; a mark surviving into the next scan would drop that id.
+TEST(LiteralPrefilter, RepeatedScansNeverLoseIds) {
+  LiteralPrefilter pf;
+  for (std::size_t i = 0; i < 64; ++i) pf.add(i, "lit" + std::to_string(i));
+  pf.build();
+  std::string all;
+  for (std::size_t i = 0; i < 64; ++i) all += "lit" + std::to_string(i) + ".";
+  const testing::ReferenceAutomaton ref(pf);
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(pf.candidates(all), ref.candidates(all));
+    EXPECT_EQ(pf.candidates("lit7"), (std::vector<std::size_t>{7}));
   }
 }
 

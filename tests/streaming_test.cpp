@@ -1,9 +1,9 @@
-// Streaming scan + persistent automaton tests (the deployment-channel
-// tentpole): StreamingMatcher must be byte-identical to one-shot
-// candidates() over every chunking of a corpus, serialize()/load() must
-// round-trip to an automaton with identical output, and the bundle
-// artifact must drive SignatureBundle to identical verdicts without a
-// per-process rebuild.
+// Streaming scan + bundle artifact tests (the deployment channels):
+// StreamingMatcher must be byte-identical to one-shot candidates() — and
+// to the reference automaton (tests/testing) — over every chunking of a
+// corpus, a recycled matcher must equal a fresh one whatever prefilter it
+// moves to, and the `.kpf` artifact must drive SignatureBundle to the
+// verdicts of a bundle compiled from the same signatures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "match/pattern.h"
 #include "match/prefilter.h"
 #include "support/rng.h"
+#include "testing/reference_automaton.h"
 #include "text/normalize.h"
 
 namespace kizzle::match {
@@ -82,8 +83,10 @@ std::vector<std::size_t> chunk_sizes_for(std::size_t n) {
 TEST(StreamingMatcher, EveryChunkingMatchesOneShotCandidates) {
   const auto corpus = kitgen_corpus();
   const LiteralPrefilter pf = corpus_prefilter(corpus);
+  const testing::ReferenceAutomaton ref(pf);
   for (const std::string& text : corpus) {
     const auto expect = pf.candidates(text);
+    ASSERT_EQ(expect, ref.candidates(text));
     for (const std::size_t chunk : chunk_sizes_for(text.size())) {
       StreamingMatcher m(pf);
       for (std::size_t at = 0; at < text.size(); at += chunk) {
@@ -149,99 +152,46 @@ TEST(StreamingMatcher, FallbackOnlyPrefilterYieldsFallbackIds) {
   EXPECT_EQ(m.finish(), (std::vector<std::size_t>{0, 1}));
 }
 
-// ------------------------ serialization round trip ------------------------
+// ------------------------------ recycling ------------------------------
 
-TEST(PrefilterSerialization, RoundTripIsByteIdenticalOnFullCorpus) {
-  const auto corpus = kitgen_corpus();
-  const LiteralPrefilter built = corpus_prefilter(corpus);
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  built.serialize(blob);
-  const LiteralPrefilter loaded = LiteralPrefilter::load(blob);
-
-  EXPECT_EQ(loaded.id_count(), built.id_count());
-  EXPECT_EQ(loaded.fallback_count(), built.fallback_count());
-  EXPECT_EQ(loaded.fallback_ids(), built.fallback_ids());
-  for (const std::string& text : corpus) {
-    EXPECT_EQ(loaded.candidates(text), built.candidates(text));
+// A recycled matcher (engine::Scratch keeps one) rebinds across
+// prefilters whose ids swap between literal, fallback and dense-shard
+// roles, in both directions of id-space growth, mid-document included:
+// every result must equal a fresh matcher's on the same prefilter.
+TEST(StreamingMatcher, RebindAcrossPrefiltersEqualsFreshMatcher) {
+  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
+  LiteralPrefilter a, b;
+  a.add(0, "needle");
+  a.add(1, "");
+  b.add(0, "");
+  b.add(1, "needle");
+  for (std::size_t i = 0; i < 512; ++i) {
+    std::string lit(1, kAlpha[i % kAlpha.size()]);
+    if (i % 7 != 0) lit.push_back(kAlpha[(i / kAlpha.size()) % kAlpha.size()]);
+    b.add(2 + i, lit);  // a dense shard in `b`; `a` stops at id 1
   }
-  // And chunked streaming over the loaded automaton agrees too.
-  for (const std::string& text : corpus) {
-    StreamingMatcher m(loaded);
-    for (std::size_t at = 0; at < text.size(); at += 7) {
-      m.feed(std::string_view(text).substr(at, 7));
+  a.build();
+  b.build();
+  ASSERT_GT(b.dense_shard_count(), 0u);
+
+  const std::string text = "xx needle yy q7 zz 0a" + std::string(300, '.') +
+                           "needle";
+  StreamingMatcher recycled(a);
+  for (const LiteralPrefilter* pf : {&a, &b, &a, &b}) {
+    recycled.feed(std::string_view(text).substr(0, 9));  // abandoned
+    recycled.rebind(*pf);
+    StreamingMatcher fresh(*pf);
+    for (std::size_t at = 0; at < text.size(); at += 13) {
+      recycled.feed(std::string_view(text).substr(at, 13));
+      fresh.feed(std::string_view(text).substr(at, 13));
     }
-    EXPECT_EQ(m.finish(), built.candidates(text));
+    const auto expect = pf->candidates(text);
+    EXPECT_EQ(fresh.finish(), expect);
+    EXPECT_EQ(recycled.finish(), expect);
+    recycled.reset();
+    recycled.feed(text);
+    EXPECT_EQ(recycled.finish(), expect);
   }
-}
-
-TEST(PrefilterSerialization, LoadedAutomatonSupportsFurtherAddAndBuild) {
-  LiteralPrefilter pf;
-  pf.add(0, "first");
-  pf.add(1, "");
-  pf.build();
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  pf.serialize(blob);
-  LiteralPrefilter loaded = LiteralPrefilter::load(blob);
-  loaded.add(2, "second");
-  loaded.build();
-  EXPECT_EQ(loaded.candidates("first second"),
-            (std::vector<std::size_t>{0, 1, 2}));
-}
-
-TEST(PrefilterSerialization, SerializeBeforeBuildThrows) {
-  LiteralPrefilter pf;
-  pf.add(0, "abc");
-  std::stringstream blob;
-  EXPECT_THROW(pf.serialize(blob), std::logic_error);
-}
-
-TEST(PrefilterSerialization, RejectsCorruptInput) {
-  LiteralPrefilter pf;
-  pf.add(0, "needle");
-  pf.add(1, "");
-  pf.build();
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  pf.serialize(blob);
-  const std::string good = blob.str();
-
-  {  // bad magic
-    std::string bad = good;
-    bad[0] = 'X';
-    std::istringstream is(bad);
-    EXPECT_THROW(LiteralPrefilter::load(is), std::runtime_error);
-  }
-  {  // unknown version
-    std::string bad = good;
-    bad[4] = static_cast<char>(0x7F);
-    std::istringstream is(bad);
-    EXPECT_THROW(LiteralPrefilter::load(is), std::runtime_error);
-  }
-  {  // foreign endianness
-    std::string bad = good;
-    std::swap(bad[8], bad[11]);
-    std::istringstream is(bad);
-    EXPECT_THROW(LiteralPrefilter::load(is), std::runtime_error);
-  }
-  {  // truncation
-    std::istringstream is(good.substr(0, good.size() / 2));
-    EXPECT_THROW(LiteralPrefilter::load(is), std::runtime_error);
-  }
-  {  // payload corruption is caught by the checksum
-    std::string bad = good;
-    bad[good.size() / 2] ^= 0x40;
-    std::istringstream is(bad);
-    EXPECT_THROW(LiteralPrefilter::load(is), std::runtime_error);
-  }
-}
-
-TEST(PrefilterSerialization, EmptyAutomatonRoundTrips) {
-  LiteralPrefilter pf;
-  pf.build();
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  pf.serialize(blob);
-  const LiteralPrefilter loaded = LiteralPrefilter::load(blob);
-  EXPECT_EQ(loaded.id_count(), 0u);
-  EXPECT_TRUE(loaded.candidates("whatever").empty());
 }
 
 }  // namespace
@@ -270,7 +220,7 @@ std::vector<DeployedSignature> artifact_signatures() {
   return sigs;
 }
 
-TEST(BundleArtifact, RoundTripPreservesSignaturesAndPrefilter) {
+TEST(BundleArtifact, RoundTripPreservesSignaturesAndLineage) {
   const auto sigs = artifact_signatures();
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   save_artifact(blob, sigs);
@@ -282,15 +232,19 @@ TEST(BundleArtifact, RoundTripPreservesSignaturesAndPrefilter) {
     EXPECT_EQ(loaded.signatures[i].issued_day, sigs[i].issued_day);
     EXPECT_EQ(loaded.signatures[i].token_length, sigs[i].token_length);
   }
-  EXPECT_EQ(loaded.prefilter.id_count(), sigs.size());
+  EXPECT_EQ(loaded.fingerprint, fingerprint(sigs));
 
-  // The loaded automaton's candidates are byte-identical to a fresh build.
-  SignatureBundle fresh(sigs);
+  // The database compiled at load has the candidates of a fresh compile.
+  std::stringstream again(blob.str());
+  const engine::Database db = engine::Database::from_artifact(again);
+  const SignatureBundle fresh(sigs);
+  EXPECT_EQ(db.fingerprint(), loaded.fingerprint);
   const std::vector<std::string> texts = {
       "xx landingpage42", "xx fromCharCode yy", "123abc456", "substrabc()",
       "nothing", ""};
   for (const std::string& t : texts) {
-    EXPECT_EQ(loaded.prefilter.candidates(t), fresh.prefilter().candidates(t))
+    EXPECT_EQ(db.prefilter().candidates(t),
+              fresh.database().prefilter().candidates(t))
         << t;
   }
 }

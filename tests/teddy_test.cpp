@@ -5,7 +5,8 @@
 //     AVX2 where the host supports them) emits byte-identical Hit
 //     sequences on random and adversarial texts;
 //   * candidate equivalence — a Teddy-routed LiteralPrefilter returns
-//     byte-identical candidate sets to the forced automaton walk: literal
+//     byte-identical candidate sets to the test-only reference automaton
+//     (tests/testing/reference_automaton.h): literal
 //     lengths 1..8 (short literals now compile into their own K=1/K=2
 //     shards instead of disqualifying the set), mixed short/long sets,
 //     5k–20k-literal sets spanning multiple shards, Fat (16-bucket)
@@ -14,6 +15,10 @@
 //     kitgen corpus;
 //   * streaming equivalence — StreamingMatcher over the Teddy path equals
 //     one-shot candidates() for every split position and every chunking;
+//   * dense routing — hybrid and all-dense sets walk the dense-shard
+//     automaton (one-shot and streaming), sparse sets compile none;
+//   * slicing — the shared slicer over small slices equals the unsliced
+//     scan for literals straddling every slice edge;
 //   * thread safety — one shared plan scanned from many threads (the tsan
 //     CI job runs this suite).
 #include <gtest/gtest.h>
@@ -31,6 +36,7 @@
 #include "match/prefilter.h"
 #include "match/teddy.h"
 #include "support/rng.h"
+#include "testing/reference_automaton.h"
 #include "text/normalize.h"
 
 namespace kizzle::match {
@@ -45,22 +51,18 @@ std::vector<teddy::Impl> available_impls() {
   return impls;
 }
 
-// Builds the same registration set twice: one prefilter free to route
-// through Teddy, one forced onto the automaton walk.
+// One registration set, built as the product prefilter and mirrored into
+// the reference automaton.
 struct Pair {
   LiteralPrefilter teddy;
-  LiteralPrefilter automaton;
+  testing::ReferenceAutomaton automaton;
 };
 
 Pair build_pair(const std::vector<std::pair<std::size_t, std::string>>& regs) {
   Pair p;
-  for (const auto& [id, lit] : regs) {
-    p.teddy.add(id, lit);
-    p.automaton.add(id, lit);
-  }
+  for (const auto& [id, lit] : regs) p.teddy.add(id, lit);
   p.teddy.build();
-  p.automaton.build();
-  p.automaton.set_first_stage(FirstStage::kAutomaton);
+  p.automaton = testing::ReferenceAutomaton(p.teddy);
   return p;
 }
 
@@ -363,8 +365,7 @@ TEST(TeddyPrefilter, MixedShortAndLongLiterals) {
 TEST(TeddyPrefilter, BigSetsSpanMultipleShardsAndStayExact) {
   // 5k–20k literals: well past the old 4096-literal ceiling, split across
   // shards (the 20k set also crosses the per-shard capacity, and its
-  // shards run Fat). Literals are short strings over a small alphabet so
-  // the automaton baseline's dense goto table stays reasonably sized.
+  // shards run Fat). Literals are short strings over a small alphabet.
   Rng rng(0xB16);
   for (const std::size_t n_lits : {std::size_t{5000}, std::size_t{20000}}) {
     std::vector<std::pair<std::size_t, std::string>> regs;
@@ -404,10 +405,10 @@ TEST(TeddyPrefilter, ScanStatsReportRoutingAndCounts) {
   p.teddy.candidates_into("nothing here", out, hits, &stats);
   EXPECT_EQ(stats.literal_survivors, 0u);
 
-  p.automaton.candidates_into("a needle in x", out, hits, &stats);
-  EXPECT_EQ(stats.fallback, PrefilterFallback::kForcedAutomaton);
-  EXPECT_EQ(stats.first_stage_hits, 0u);
-  EXPECT_EQ(stats.literal_survivors, 2u);
+  const Pair none = build_pair({{0, ""}, {1, ""}});
+  none.teddy.candidates_into("a needle in x", out, hits, &stats);
+  EXPECT_EQ(stats.fallback, PrefilterFallback::kNoLiterals);
+  EXPECT_EQ(out, (std::vector<std::size_t>{0, 1}));
 }
 
 // ---------------------------- streaming oracle ----------------------------
@@ -426,11 +427,6 @@ TEST(TeddyStreaming, EverySplitPositionMatchesOneShot) {
     teddy_stream.feed(std::string_view(text).substr(0, split));
     teddy_stream.feed(std::string_view(text).substr(split));
     EXPECT_EQ(teddy_stream.finish(), expect) << "split " << split;
-
-    StreamingMatcher automaton_stream(p.automaton);
-    automaton_stream.feed(std::string_view(text).substr(0, split));
-    automaton_stream.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(automaton_stream.finish(), expect) << "split " << split;
   }
 
   // Byte-at-a-time and small odd chunks.
@@ -546,7 +542,7 @@ TEST(TeddyPrefilter, KitgenCorpusOneShotEquivalence) {
   const auto corpus = kitgen_corpus();
   const Pair p = build_pair(corpus_registrations(corpus));
   ASSERT_TRUE(p.teddy.teddy_active());
-  ASSERT_FALSE(p.automaton.teddy_active());
+  EXPECT_EQ(p.teddy.dense_state_count(), 0u);
   for (const std::string& sample : corpus) {
     EXPECT_EQ(p.teddy.candidates(sample), p.automaton.candidates(sample));
   }
@@ -617,8 +613,8 @@ TEST(TeddyPrefilter, ConcurrentScansOverOneSharedPlan) {
 // 1–2-byte alphanumerics admitting most common bytes into the K=1 shard's
 // shuffle mask. Routing is decided PER SHARD: the dense K=1 shard is
 // excised from the SIMD pass and its literals walk the dense-literal
-// sub-automaton, while the selective K=2 shard stays on Teddy — and
-// candidate sets stay byte-identical either way.
+// automaton, while the selective K=2 shard stays on Teddy — and candidate
+// sets stay byte-identical either way.
 TEST(TeddyPrefilter, DenseShardRoutesToSubAutomaton) {
   constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
   const auto short_set = [&](std::size_t count) {
@@ -663,35 +659,41 @@ TEST(TeddyPrefilter, DenseShardRoutesToSubAutomaton) {
             kDenseRouteHitsPerByte);
   EXPECT_TRUE(sparse.teddy.teddy_active());
   EXPECT_EQ(sparse.teddy.dense_shard_count(), 0u);
+  EXPECT_EQ(sparse.teddy.dense_state_count(), 0u);
   expect_equal_candidates(sparse, text);
 
-  // Density is derived state: a loaded artifact makes the same per-shard
-  // calls and routes identically.
-  std::stringstream bytes;
-  hybrid.teddy.serialize(bytes);
-  const LiteralPrefilter loaded = LiteralPrefilter::load(bytes);
-  EXPECT_FALSE(loaded.teddy_dense());
-  EXPECT_TRUE(loaded.teddy_active());
-  EXPECT_EQ(loaded.dense_shard_count(), hybrid.teddy.dense_shard_count());
-  EXPECT_EQ(loaded.dense_shard_flags(), hybrid.teddy.dense_shard_flags());
-  EXPECT_EQ(loaded.candidates(text), hybrid.automaton.candidates(text));
+  // Density is derived state: rebuilding from the same registrations
+  // routes identically.
+  LiteralPrefilter rebuilt;
+  for (const auto& reg : hybrid.teddy.registrations()) {
+    rebuilt.add(reg.id, reg.literal);
+  }
+  rebuilt.build();
+  EXPECT_EQ(rebuilt.dense_shard_flags(), hybrid.teddy.dense_shard_flags());
+  EXPECT_EQ(rebuilt.dense_state_count(), hybrid.teddy.dense_state_count());
+  EXPECT_EQ(rebuilt.candidates(text), hybrid.automaton.candidates(text));
 }
 
-// When EVERY shard is dense (a single-byte-only set admits most common
-// bytes into its one shuffle mask), the sub-automaton would just duplicate
-// the main automaton — the scan takes the full automaton walk, exactly the
-// old all-or-nothing route.
-TEST(TeddyPrefilter, AllDenseSetRoutesToFullAutomaton) {
+// A single-byte-only set admits most common bytes into its one shuffle
+// mask: EVERY shard is dense, so the dense automaton covers every literal
+// and Teddy never runs.
+std::vector<std::pair<std::size_t, std::string>> all_dense_regs() {
   constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
   std::vector<std::pair<std::size_t, std::string>> regs;
   for (std::size_t i = 0; i < kAlpha.size(); ++i) {
     regs.emplace_back(i, std::string(1, kAlpha[i]));
   }
-  const Pair dense = build_pair(regs);
+  regs.emplace_back(kAlpha.size(), "");  // fallback rider
+  return regs;
+}
+
+TEST(TeddyPrefilter, AllDenseSetWalksTheDenseAutomaton) {
+  const Pair dense = build_pair(all_dense_regs());
   EXPECT_TRUE(dense.teddy.teddy_dense());
   EXPECT_FALSE(dense.teddy.teddy_active());
   EXPECT_EQ(dense.teddy.dense_shard_count(),
             dense.teddy.teddy_plans()->shard_count());
+  EXPECT_GT(dense.teddy.dense_state_count(), 0u);
 
   const std::string text = kitgen_corpus().front();
   std::vector<std::size_t> out;
@@ -700,14 +702,24 @@ TEST(TeddyPrefilter, AllDenseSetRoutesToFullAutomaton) {
   dense.teddy.candidates_into(text, out, hits, &stats);
   EXPECT_EQ(stats.fallback, PrefilterFallback::kDenseLiterals);
   EXPECT_EQ(stats.first_stage_hits, 0u);
+  EXPECT_EQ(stats.shards_scanned, 0u);
   expect_equal_candidates(dense, text);
+  expect_equal_candidates(dense, "");
+  expect_equal_candidates(dense, "...");
+}
 
-  std::stringstream bytes;
-  dense.teddy.serialize(bytes);
-  const LiteralPrefilter loaded = LiteralPrefilter::load(bytes);
-  EXPECT_TRUE(loaded.teddy_dense());
-  EXPECT_FALSE(loaded.teddy_active());
-  EXPECT_EQ(loaded.candidates(text), dense.automaton.candidates(text));
+TEST(TeddyStreaming, AllDenseEverySplit) {
+  const Pair p = build_pair(all_dense_regs());
+  ASSERT_TRUE(p.teddy.teddy_dense());
+  const std::string text = "..q..7..zz" + kitgen_corpus().front().substr(0, 90);
+  const std::vector<std::size_t> expect = p.automaton.candidates(text);
+  StreamingMatcher m(p.teddy);
+  for (std::size_t split = 0; split <= text.size(); ++split) {
+    m.reset();
+    m.feed(std::string_view(text).substr(0, split));
+    m.feed(std::string_view(text).substr(split));
+    EXPECT_EQ(m.finish(), expect) << "split at " << split;
+  }
 }
 
 // Streaming over a hybrid-routed prefilter: the dense sub-automaton's DFA
@@ -735,6 +747,79 @@ TEST(TeddyStreaming, HybridDenseRoutingEverySplit) {
     m.feed(std::string_view(text).substr(0, split));
     m.feed(std::string_view(text).substr(split));
     EXPECT_EQ(m.finish(), expect) << "split at " << split;
+  }
+}
+
+// ------------------------------- slicing --------------------------------
+
+// The shared slicer (one-shot texts past 4 GiB, oversized stream chunks)
+// driven with small slices through the test seam: every literal placed at
+// every position — so across every slice edge — must come out exactly as
+// the unsliced scan and the reference automaton report it, on a sparse
+// set and on a hybrid one whose dense shard walks the whole text.
+TEST(TeddySlicing, LiteralsStraddlingEverySliceEdge) {
+  const std::vector<std::string> lits = {"q", "zk", "abc", "wxyz",
+                                         "straddle", "longliteral12"};
+  std::vector<std::pair<std::size_t, std::string>> sparse_regs;
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    sparse_regs.emplace_back(i, lits[i]);
+  }
+  sparse_regs.emplace_back(lits.size(), "");  // fallback rider
+  auto hybrid_regs = sparse_regs;
+  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
+  for (std::size_t i = 0; i < 512; ++i) {
+    std::string lit(1, kAlpha[i % kAlpha.size()]);
+    if (i % 7 != 0) lit.push_back(kAlpha[(i / kAlpha.size()) % kAlpha.size()]);
+    hybrid_regs.emplace_back(100 + i, lit);
+  }
+
+  for (const auto* regs : {&sparse_regs, &hybrid_regs}) {
+    const Pair p = build_pair(*regs);
+    ASSERT_TRUE(p.teddy.teddy_active());
+    const std::size_t keep = p.teddy.teddy_plans()->max_literal_len() - 1;
+    for (const std::size_t slice :
+         {std::size_t{1}, keep + 1, keep + 2, std::size_t{16},
+          std::size_t{29}}) {
+      for (const std::string& lit : lits) {
+        for (std::size_t at = 0; at + lit.size() <= 96; ++at) {
+          std::string text(96, '.');
+          text.replace(at, lit.size(), lit);
+          const auto expect = p.automaton.candidates(text);
+          ASSERT_EQ(p.teddy.candidates(text), expect);
+          std::vector<std::uint32_t> hints(4096, 7);
+          ASSERT_EQ(PrefilterTestPeer::candidates_sliced(p.teddy, text, slice,
+                                                         &hints),
+                    expect)
+              << "slice " << slice << ", " << lit << " at " << at;
+          // Window-relative positions are meaningless to the caller: a
+          // sliced scan reports no hints at all.
+          for (const std::size_t id : expect) {
+            EXPECT_EQ(hints[id], teddy::kNoHint) << id;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The fleet's shape: 10k sparse 40-byte literals cut from kit traffic.
+// Every shard stays on Teddy and no automaton is compiled at all.
+TEST(TeddyPrefilter, SparseTenThousandLiteralSetBuildsNoAutomaton) {
+  const auto corpus = kitgen_corpus();
+  Rng rng(0x10C);
+  LiteralPrefilter pf;
+  for (std::size_t i = 0; i < 10000; ++i) {
+    const std::string& donor = corpus[i % 12];
+    pf.add(i, donor.substr(rng.index(donor.size() - 48), 40) + "#" +
+                  std::to_string(i));
+  }
+  pf.build();
+  EXPECT_TRUE(pf.teddy_active());
+  EXPECT_EQ(pf.dense_shard_count(), 0u);
+  EXPECT_EQ(pf.dense_state_count(), 0u);
+  const testing::ReferenceAutomaton ref(pf);
+  for (const std::string& sample : corpus) {
+    EXPECT_EQ(pf.candidates(sample), ref.candidates(sample));
   }
 }
 

@@ -10,8 +10,8 @@
 //                                      (sigfile: one regex per line,
 //                                      optional "name<TAB>pattern", a
 //                                      signature DB, or a .kpf artifact —
-//                                      artifacts load the prebuilt
-//                                      automaton and stream each file;
+//                                      artifacts are compiled at load
+//                                      and stream each file;
 //                                      --limits keys: input-bytes,
 //                                      vm-steps, wall-ms — each scan then
 //                                      reports its ScanOutcome when it
@@ -19,14 +19,12 @@
 //   kizzle lint [--json] [--strict] <artifact|sigdb|sigfile>
 //                                      static analysis of a signature set
 //                                      (backtracking bombs, weak/dead/
-//                                      shadowed signatures, dense shards;
-//                                      .kpf artifacts are also verified by
-//                                      recompile-and-compare); exit 1 on
-//                                      error-severity findings
-//   kizzle pack <sigdb> <out.kpf>      compile a deployed signature DB to
-//                                      a binary bundle artifact (prebuilt
-//                                      literal-prefilter automaton; v2
-//                                      layout, mmap/zero-copy loadable)
+//                                      shadowed signatures, dense shards);
+//                                      exit 1 on error-severity findings
+//   kizzle pack <sigdb> <out.kpf>      check a deployed signature DB and
+//                                      seal it into a binary bundle
+//                                      artifact (v3: signatures plus
+//                                      lineage fingerprint)
 //   kizzle pack --delta <base-sigdb> <full-sigdb> <out.kzd>
 //                                      diff two databases of one lineage
 //                                      into a KZDELTA incremental artifact
@@ -66,7 +64,6 @@
 #include "match/pattern.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
-#include "support/mapped_file.h"
 #include "sig/compiler.h"
 #include "sig/multi_fragment.h"
 #include "support/table.h"
@@ -249,14 +246,10 @@ const char* first_stage_name(match::PrefilterFallback fallback) {
   switch (fallback) {
     case match::PrefilterFallback::kNone:
       return "simd";
-    case match::PrefilterFallback::kForcedAutomaton:
-      return "automaton";
-    case match::PrefilterFallback::kTextTooLarge:
-      return "automaton(large-text)";
     case match::PrefilterFallback::kNoLiterals:
       return "no-literals";
     case match::PrefilterFallback::kDenseLiterals:
-      return "automaton(dense-literals)";
+      return "dense-automaton";
   }
   return "?";
 }
@@ -273,8 +266,8 @@ void print_scan_stats(const engine::ScanStats& st) {
                st.confirmed_literal_dominated, st.confirmed_vm);
 }
 
-// Artifact path: load the release-built automaton into an engine database
-// (no per-process rebuild) and stream each file through an engine stream
+// Artifact path: compile the artifact into an engine database and stream
+// each file through an engine stream
 // in fixed-size chunks — the raw file is never fully resident. One scratch
 // serves every file.
 int scan_with_artifact(const std::string& content,
@@ -561,8 +554,8 @@ int cmd_demo(const std::vector<std::string>& args) {
                  st.dedup, st.cluster, st.label);
   }
   // The deployable artifact: a signature database on stdout, and — when a
-  // path is given — the binary bundle artifact with the release-built
-  // automaton for the deployment channels.
+  // path is given — the same set as a binary bundle artifact for the
+  // deployment channels.
   std::printf("%s", core::save_signatures(pipeline.signatures()).c_str());
   if (!artifact_path.empty()) {
     std::ofstream out(artifact_path, std::ios::binary);
@@ -642,13 +635,10 @@ int cmd_serve(const std::vector<std::string>& raw_args) {
   const serve::ServeFixture fixture = serve::make_fixture(fcfg);
   std::shared_ptr<const engine::Database> db = fixture.database;
   if (!artifact_path.empty()) {
-    // Map the artifact instead of streaming it: a v2 bundle serves its
-    // automaton tables straight out of the page cache (zero-copy), and a
-    // fleet of workers loading the same release shares the pages.
-    auto mapped = std::make_shared<const support::MappedFile>(
-        support::MappedFile::open(artifact_path));
+    std::ifstream in(artifact_path, std::ios::binary);
+    if (!in) throw std::runtime_error("cannot open " + artifact_path);
     db = std::make_shared<const engine::Database>(
-        engine::Database::from_artifact(std::move(mapped)));
+        engine::Database::from_artifact(in));
   }
 
   serve::ScanServer server(db, scfg);
@@ -710,9 +700,8 @@ int cmd_serve(const std::vector<std::string>& raw_args) {
 // Static analysis over a signature set (analyze/analyze.h): text findings
 // to stdout (or one JSON object with --json, for CI), exit 1 on
 // error-severity findings — with --strict, on warnings too. Accepts the
-// same inputs as `kizzle scan`'s sigfile argument: a `.kpf` bundle
-// (additionally verified by recompile-and-compare), a signature DB, or a
-// plain regex-per-line file.
+// same inputs as `kizzle scan`'s sigfile argument: a `.kpf` bundle, a
+// signature DB, or a plain regex-per-line file.
 int cmd_lint(const std::vector<std::string>& raw_args) {
   bool json = false;
   bool strict = false;
