@@ -532,8 +532,8 @@ BENCHMARK(BM_ScanBatchParallel)->Arg(1)->Arg(4)->Arg(0);
 // --------------------------- streaming scan ---------------------------
 
 // The deployment channels' chunked path (BrowserGate network arrival,
-// DesktopScanner block reads): the prefilter automaton streams over fixed
-// size chunks with carried state, then only candidates run the VM.
+// DesktopScanner block reads): the first stage streams over fixed size
+// chunks with carried state, then only candidates run the VM.
 // BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot is the cost of the
 // chunked cursor relative to one contiguous candidates() pass over the
 // same 100-signature bundle.

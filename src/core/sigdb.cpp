@@ -178,11 +178,6 @@ BundleArtifact load_artifact(std::istream& is, bool validate_patterns) {
   if (!is) {
     throw ArtifactError("load_artifact: truncated artifact");
   }
-  if (bytes.compare(0, 4, "KZPF") == 0) {
-    throw ArtifactError(
-        "load_artifact: bare KZPF prefilter blob; prefilter tables are no "
-        "longer shipped — repack the signatures with `kizzle pack`");
-  }
   if (bytes.compare(0, kArtifactMagic.size(), kArtifactMagic) != 0) {
     throw ArtifactError("load_artifact: bad magic");
   }
@@ -192,12 +187,6 @@ BundleArtifact load_artifact(std::istream& is, bool validate_patterns) {
   std::memcpy(&version, bytes.data() + 8, 4);
   std::memcpy(&endian, bytes.data() + 12, 4);
   std::memcpy(&db_len, bytes.data() + 16, 8);
-  if (version == 1 || version == 2) {
-    throw ArtifactError(
-        "load_artifact: format version " + std::to_string(version) +
-        " carried prebuilt prefilter tables and is no longer accepted — "
-        "repack the signatures with `kizzle pack`");
-  }
   if (version != kArtifactVersion) {
     throw ArtifactError("load_artifact: unsupported format version " +
                         std::to_string(version));

@@ -30,8 +30,9 @@
 //
 // Versions 1 and 2 shipped prebuilt prefilter tables ("KZPF" blobs) next
 // to the text; loading the tables was no cheaper than deriving them, so
-// they are gone, and those artifacts (like bare KZPF blobs) are refused
-// with a typed ArtifactError — repack the signatures with `kizzle pack`.
+// they are gone. The version check refuses those artifacts, and the magic
+// check bare KZPF blobs, with a typed ArtifactError — repack the
+// signatures with `kizzle pack`.
 //
 // *Delta artifact* (`.kzd`, magic "KZDELTAF", version 1): an incremental
 // update from one deployed signature set to the next — the daily Kizzle

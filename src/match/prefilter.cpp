@@ -52,36 +52,9 @@ void set_no_hint(std::vector<std::uint32_t>* hints,
 }
 
 // Texts longer than this are past Teddy's 32-bit hit positions and are
-// scanned in slices of kSliceBytes instead of whole.
+// streamed through StreamingMatcher's slicing window instead of scanned
+// whole.
 constexpr std::size_t kMaxWholeText = 0xFFFFFFFFu;
-constexpr std::size_t kSliceBytes = std::size_t{1} << 30;
-
-// The one slicer (one-shot texts past kMaxWholeText, oversized stream
-// chunks): runs plans.find over `text` in windows of at most `slice`
-// bytes, each starting max_literal_len−1 bytes before the previous one
-// ended, so every literal occurrence lies wholly inside some window.
-// Arguments and result as teddy::PlanSet::find, without position hints
-// (window-relative positions mean nothing to the caller).
-std::size_t find_sliced(const teddy::PlanSet& plans, std::string_view text,
-                        std::size_t slice, teddy::HitBuffer& hits,
-                        std::vector<std::uint8_t>& seen,
-                        std::vector<std::size_t>& out, std::size_t n_seen,
-                        std::size_t stop_at, teddy::ScanCounters* counters,
-                        const std::vector<std::uint8_t>* skip_shard) {
-  // An occurrence starting at s in [at, at + slice − keep) ends by
-  // s + keep + 1 <= at + slice, inside the window; the next window starts
-  // at at + slice − keep. A window must advance, so it is at least keep+1.
-  const std::size_t keep = plans.max_literal_len() - 1;
-  slice = std::max(slice, keep + 1);
-  for (std::size_t at = 0; n_seen < stop_at;) {
-    const std::string_view window = text.substr(at, slice);
-    n_seen = plans.find(window, hits, seen, out, n_seen, stop_at, counters,
-                        nullptr, skip_shard);
-    if (at + window.size() >= text.size()) break;
-    at += window.size() - keep;
-  }
-  return n_seen;
-}
 
 }  // namespace
 
@@ -292,7 +265,7 @@ void LiteralPrefilter::candidates_into(std::string_view text,
                                        PrefilterStats* stats,
                                        std::vector<std::uint32_t>* hints) const {
   collect(text, out, hits, stats, hints, /*whole_limit=*/kMaxWholeText,
-          /*slice=*/kSliceBytes);
+          /*slice=*/StreamingMatcher::kSliceBytes);
 }
 
 void LiteralPrefilter::collect(std::string_view text,
@@ -318,6 +291,24 @@ void LiteralPrefilter::collect(std::string_view text,
     if (stats != nullptr) stats->fallback = PrefilterFallback::kNoLiterals;
     return;
   }
+  if (text.size() > whole_limit) {
+    // One text past Teddy's position space is one stream: the matcher's
+    // window scans it in `slice`-byte slices with a longest-literal−1
+    // carry, at the price of copying the text through that window.
+    // Slice-relative positions mean nothing here, so no hints.
+    StreamingMatcher sliced(*this);
+    sliced.slice_ = slice;
+    sliced.feed(text);
+    sliced.finish_into(out);
+    set_no_hint(hints, out);
+    if (stats != nullptr) {
+      stats->fallback = teddy_dense_ ? PrefilterFallback::kDenseLiterals
+                                     : PrefilterFallback::kNone;
+      stats->dense_shards = n_dense_shards_;
+      stats->literal_survivors = out.size() - fallback_.size();
+    }
+    return;
+  }
 
   // Reused across calls (per thread) and never cleared wholesale: only
   // the marks this scan set are reset, so the per-scan cost is
@@ -333,14 +324,8 @@ void LiteralPrefilter::collect(std::string_view text,
       teddy::ScanCounters counters;
       const std::vector<std::uint8_t>* skip =
           n_dense_shards_ > 0 ? &dense_shard_ : nullptr;
-      if (text.size() <= whole_limit) {
-        n_seen = teddy_->find(text, hits, seen, out, 0, n_automaton_ids_,
-                              &counters, hints, skip);
-      } else {
-        n_seen = find_sliced(*teddy_, text, slice, hits, seen, out, 0,
-                             n_automaton_ids_, &counters, skip);
-        set_no_hint(hints, out);
-      }
+      n_seen = teddy_->find(text, hits, seen, out, 0, n_automaton_ids_,
+                            &counters, hints, skip);
       if (stats != nullptr) {
         stats->first_stage_hits = counters.first_stage_hits;
         stats->shards_scanned = counters.shards_scanned;
@@ -404,37 +389,29 @@ void StreamingMatcher::feed(std::string_view chunk) {
 }
 
 void StreamingMatcher::feed_teddy(std::string_view chunk) {
-  // Small chunks accumulate in window_ and are scanned in batches: the
+  // Unscanned bytes accumulate in window_ and are scanned in batches: the
   // carried tail (longest-literal−1 bytes of already-scanned text) is
   // rescanned on every flush, so flushing per feed would make tiny chunks
   // pay up to tail/chunk-size redundant work. Deferring until a multiple
   // of the tail has arrived caps the overhead at ~25% regardless of how
   // the stream is diced; finish_into() flushes the remainder.
-  const teddy::PlanSet& plans = *pf_->teddy_;
-  const std::size_t keep = plans.max_literal_len() - 1;
+  const std::size_t keep = pf_->teddy_->max_literal_len() - 1;
   const std::size_t flush_at = std::max<std::size_t>(256, 4 * keep);
-  if (chunk.size() < flush_at) {
-    window_.append(chunk);
-    pending_ += chunk.size();
+  // The window is also kept under slice_ bytes — inside Teddy's 32-bit
+  // position space — no matter how large one chunk is. It must hold more
+  // than the carry tail, or a flush would not advance.
+  const std::size_t slice = std::max(slice_, keep + 1);
+  while (!chunk.empty() && n_seen_ < pf_->n_automaton_ids_) {
+    if (window_.size() >= slice) {
+      scan_window();  // trims the window back to the carry tail
+      continue;
+    }
+    const std::size_t take = std::min(chunk.size(), slice - window_.size());
+    window_.append(chunk.substr(0, take));
+    chunk.remove_prefix(take);
+    pending_ += take;
     if (pending_ >= flush_at) scan_window();
-    return;
   }
-  // A large chunk is scanned in place instead of being copied into the
-  // window: first the window with the chunk's first `keep` bytes glued on
-  // (every occurrence starting in the window ends inside that), then the
-  // chunk itself through the shared slicer, which keeps any chunk size
-  // inside Teddy's position space. The chunk's tail is the next carry.
-  const std::vector<std::uint8_t>* skip =
-      pf_->n_dense_shards_ > 0 ? &pf_->dense_shard_ : nullptr;
-  if (!window_.empty()) {
-    window_.append(chunk.substr(0, keep));
-    n_seen_ = plans.find(window_, hits_, seen_, found_, n_seen_,
-                         pf_->n_automaton_ids_, nullptr, nullptr, skip);
-  }
-  n_seen_ = find_sliced(plans, chunk, kSliceBytes, hits_, seen_, found_,
-                        n_seen_, pf_->n_automaton_ids_, nullptr, skip);
-  window_.assign(chunk.substr(chunk.size() - keep));
-  pending_ = 0;
 }
 
 void StreamingMatcher::scan_window() {

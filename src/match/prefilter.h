@@ -23,7 +23,7 @@
 //            compiled over exactly their literals; no other automaton
 //            exists in the product. Texts past Teddy's 32-bit position
 //            space are scanned in overlapping 1 GiB slices.
-//            The test-only reference automaton (tests/support) is the
+//            The test-only reference automaton (tests/testing) is the
 //            differential oracle every first-stage route is pinned to.
 //   tier 2 — window confirm (teddy::Plan::confirm). Each sparse hit is
 //            resolved to literal occurrences by a per-bucket window-key
@@ -188,7 +188,7 @@ class LiteralPrefilter {
 
  private:
   friend class StreamingMatcher;
-  // Test-only access (tests/support): drives the slicing route with small
+  // Test-only access (tests/testing): drives the slicing route with small
   // slice sizes, which product code never uses.
   friend struct PrefilterTestPeer;
 
@@ -226,8 +226,8 @@ class LiteralPrefilter {
 
   // candidates_into() with the slicing route's parameters explicit: texts
   // up to `whole_limit` bytes run one Teddy pass that fills `hints`,
-  // longer ones go through the slicer (prefilter.cpp) in `slice`-byte
-  // windows, the same one StreamingMatcher runs oversized chunks through.
+  // longer ones are fed whole to a StreamingMatcher whose window scans
+  // them in `slice`-byte slices.
   void collect(std::string_view text, std::vector<std::size_t>& out,
                teddy::HitBuffer& hits, PrefilterStats* stats,
                std::vector<std::uint32_t>* hints, std::size_t whole_limit,
@@ -300,7 +300,16 @@ class StreamingMatcher {
 
   std::size_t bytes_fed() const { return bytes_fed_; }
 
+  // Largest Teddy window: big chunks, and one-shot texts past Teddy's
+  // 32-bit position space, are scanned in slices of this size.
+  static constexpr std::size_t kSliceBytes = std::size_t{1} << 30;
+
  private:
+  // LiteralPrefilter streams oversized one-shot texts through a matcher;
+  // it and the tests (small slices) set slice_.
+  friend class LiteralPrefilter;
+  friend struct PrefilterTestPeer;
+
   void feed_teddy(std::string_view chunk);
   // Scans window_ (carry tail + deferred bytes), confirms the hits, and
   // trims the window back to the carry tail.
@@ -320,6 +329,7 @@ class StreamingMatcher {
   std::string window_;                // teddy: carry tail + unscanned bytes
   std::size_t pending_ = 0;           // teddy: unscanned byte count
   teddy::HitBuffer hits_;             // teddy: reusable candidate positions
+  std::size_t slice_ = kSliceBytes;   // teddy: window size cap
 };
 
 }  // namespace kizzle::match

@@ -752,11 +752,13 @@ TEST(TeddyStreaming, HybridDenseRoutingEverySplit) {
 
 // ------------------------------- slicing --------------------------------
 
-// The shared slicer (one-shot texts past 4 GiB, oversized stream chunks)
-// driven with small slices through the test seam: every literal placed at
-// every position — so across every slice edge — must come out exactly as
-// the unsliced scan and the reference automaton report it, on a sparse
-// set and on a hybrid one whose dense shard walks the whole text.
+// The one slicer — StreamingMatcher's window loop, which one-shot texts
+// past 4 GiB are fed through whole — driven with small slices through the
+// test seam: every literal placed at every position — so across every
+// slice edge — must come out exactly as the unsliced scan and the
+// reference automaton report it, both for the one-shot route and for a
+// stream fed in chunks, on a sparse set and on a hybrid one whose dense
+// shard walks the whole text.
 TEST(TeddySlicing, LiteralsStraddlingEverySliceEdge) {
   const std::vector<std::string> lits = {"q", "zk", "abc", "wxyz",
                                          "straddle", "longliteral12"};
@@ -795,6 +797,16 @@ TEST(TeddySlicing, LiteralsStraddlingEverySliceEdge) {
           // sliced scan reports no hints at all.
           for (const std::size_t id : expect) {
             EXPECT_EQ(hints[id], teddy::kNoHint) << id;
+          }
+          for (const std::size_t chunk : {std::size_t{5}, std::size_t{40}}) {
+            StreamingMatcher sm(p.teddy);
+            PrefilterTestPeer::set_slice(sm, slice);
+            for (std::size_t i = 0; i < text.size(); i += chunk) {
+              sm.feed(std::string_view(text).substr(i, chunk));
+            }
+            ASSERT_EQ(sm.finish(), expect) << "slice " << slice << ", chunk "
+                                           << chunk << ", " << lit << " at "
+                                           << at;
           }
         }
       }

@@ -64,8 +64,9 @@ class ReferenceAutomaton {
 namespace kizzle::match {
 
 struct PrefilterTestPeer {
-  // candidates_into's result when every non-empty text goes through the
-  // shared slicer in `slice`-byte windows. `hints` as in candidates_into.
+  // candidates_into's result when every non-empty text takes the route of
+  // texts past 4 GiB: fed whole to a StreamingMatcher whose window scans
+  // it in `slice`-byte slices. `hints` as in candidates_into.
   static std::vector<std::size_t> candidates_sliced(
       const LiteralPrefilter& pf, std::string_view text, std::size_t slice,
       std::vector<std::uint32_t>* hints = nullptr) {
@@ -73,6 +74,11 @@ struct PrefilterTestPeer {
     teddy::HitBuffer hits;
     pf.collect(text, out, hits, nullptr, hints, /*whole_limit=*/0, slice);
     return out;
+  }
+
+  // Caps `m`'s Teddy window at `slice` bytes instead of 1 GiB.
+  static void set_slice(StreamingMatcher& m, std::size_t slice) {
+    m.slice_ = slice;
   }
 };
 

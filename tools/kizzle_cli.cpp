@@ -249,7 +249,7 @@ const char* first_stage_name(match::PrefilterFallback fallback) {
     case match::PrefilterFallback::kNoLiterals:
       return "no-literals";
     case match::PrefilterFallback::kDenseLiterals:
-      return "dense-automaton";
+      return "automaton(dense-literals)";
   }
   return "?";
 }
