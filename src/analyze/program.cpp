@@ -3,10 +3,15 @@
 // dead-signature findings (analyze.h, family 1).
 //
 // Everything here leans on one structural fact of the compiler
-// (pattern.cpp): bounded repetitions unroll into nested optional Splits,
-// and only *unbounded* repetitions (`*`, `+`, `{m,}`) emit a backward
-// Jmp. Loops in the instruction graph therefore correspond exactly to
-// unbounded repetitions, and nesting of loops to nesting of quantifiers.
+// (pattern.cpp): bounded repetitions compile to forward code only — a Run
+// op for a one-byte body, nested optional Splits otherwise — and only
+// *unbounded* repetitions (`*`, `+`, `{m,}`) emit a backward Jmp. Loops in
+// the instruction graph therefore correspond exactly to unbounded
+// repetitions, and nesting of loops to nesting of quantifiers.
+//
+// The walks see a Run as the unrolled form it stands for: its body (the
+// next instruction) is mandatory when min > 0 and skippable when min == 0,
+// and the step bound counts it at its unrolled width.
 
 #include <algorithm>
 #include <cmath>
@@ -38,6 +43,10 @@ int successors(const Program& prog, std::uint32_t pc, std::uint32_t out[2]) {
       out[0] = in.x;
       out[1] = in.y;
       return 2;
+    case Op::Run:  // into the body at pc + 1, or past it when min == 0
+      out[0] = pc + 1;
+      out[1] = pc + 2;
+      return in.x == 0 ? 2 : 1;
     default:
       out[0] = pc + 1;
       return 1;
@@ -249,8 +258,16 @@ ProgramFacts program_facts(const Program& prog, std::size_t reference_len) {
   if (facts.ambiguous_nesting) {
     facts.log2_step_bound = std::min(len, 64.0);
   } else {
+    double unrolled = static_cast<double>(n);
+    for (const Instr& in : prog.code) {
+      if (in.op != Op::Run) continue;
+      // min copies + a Split and copy per optional one, in place of the
+      // Run and its one body instruction.
+      unrolled += static_cast<double>(in.x) +
+                  2.0 * static_cast<double>(in.y - in.x) - 2.0;
+    }
     facts.log2_step_bound =
-        std::log2(static_cast<double>(n)) +
+        std::log2(unrolled) +
         static_cast<double>(facts.max_loop_depth) * std::log2(len);
   }
 
@@ -265,6 +282,9 @@ ProgramFacts program_facts(const Program& prog, std::size_t reference_len) {
       switch (in.op) {
         case Op::Split:
           has_split = true;
+          break;
+        case Op::Run:  // its body is checked as the next instruction
+          has_split = has_split || in.x != in.y;
           break;
         case Op::Char:
         case Op::Jmp:

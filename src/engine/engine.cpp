@@ -222,13 +222,13 @@ constexpr std::size_t kDeadlinePollMask = 15;
 // Confirmation dispatches on the pattern's compile-time tier
 // (Pattern::confirm_span): find() for pure literals, the compiled confirm
 // program for literal-dominated signatures, the backtracking VM only for
-// regex-shaped ones — whose budget overruns are counted and skipped,
-// exactly like the pre-engine Scanner/SignatureBundle paths (the compiled
-// tiers cannot overrun). Tier counts land in scratch.stats_. The scratch's
-// ScanLimits govern the loop: vm_step_budget tightens each VM
-// confirmation, and the deadline gate is polled every few candidates —
-// expiry abandons the remaining candidates and reports kDeadlineExpired
-// rather than finishing late.
+// regex-shaped ones whose necessary factors are all present — and their
+// budget overruns are counted and skipped, exactly like the pre-engine
+// Scanner/SignatureBundle paths (the compiled tiers cannot overrun). Tier
+// counts land in scratch.stats_. The scratch's ScanLimits govern the loop:
+// vm_step_budget tightens each VM confirmation, and the deadline gate is
+// polled every few candidates — expiry abandons the remaining candidates
+// and reports kDeadlineExpired rather than finishing late.
 ScanOutcome confirm_loop(const Database& db,
                          std::span<const std::size_t> candidates,
                          std::string_view text, match::VmScratch& vm,
@@ -241,6 +241,7 @@ ScanOutcome confirm_loop(const Database& db,
   stats.confirmed_literal = 0;
   stats.confirmed_literal_dominated = 0;
   stats.confirmed_vm = 0;
+  stats.gated = 0;
   const std::span<const Database::Entry> entries = db.entries();
   std::size_t polled = 0;
   for (const std::size_t i : candidates) {
@@ -257,17 +258,6 @@ ScanOutcome confirm_loop(const Database& db,
     if (db.entry_retired(i)) continue;
     if (should_confirm != nullptr && !(*should_confirm)(i)) continue;
     const Database::Entry& entry = entries[i];  // bounds-checked above
-    switch (entry.pattern.confirm_tier()) {
-      case match::ConfirmTier::kLiteral:
-        ++stats.confirmed_literal;
-        break;
-      case match::ConfirmTier::kLiteralDominated:
-        ++stats.confirmed_literal_dominated;
-        break;
-      case match::ConfirmTier::kRegex:
-        ++stats.confirmed_vm;
-        break;
-    }
     // The prefilter's tier-2 confirm already located each surviving id's
     // literal; seed the confirmation there instead of re-finding it.
     std::size_t hint = match::Pattern::knpos;
@@ -277,6 +267,17 @@ ScanOutcome confirm_loop(const Database& db,
     }
     const match::SpanResult r =
         entry.pattern.confirm_span(text, vm, 0, vm_budget, hint);
+    switch (entry.pattern.confirm_tier()) {
+      case match::ConfirmTier::kLiteral:
+        ++stats.confirmed_literal;
+        break;
+      case match::ConfirmTier::kLiteralDominated:
+        ++stats.confirmed_literal_dominated;
+        break;
+      case match::ConfirmTier::kRegex:
+        ++(r.gated ? stats.gated : stats.confirmed_vm);
+        break;
+    }
     if (r.budget_exceeded) {
       ++out.budget_exceeded;
       continue;

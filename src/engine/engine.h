@@ -186,7 +186,9 @@ struct ScanStats {
   std::size_t candidates = 0;       // ids handed to the confirmation loop
   std::size_t confirmed_literal = 0;            // pure find() confirmations
   std::size_t confirmed_literal_dominated = 0;  // compiled confirm programs
-  std::size_t confirmed_vm = 0;                 // backtracking VM runs
+  std::size_t confirmed_vm = 0;  // backtracking VM runs actually started
+  std::size_t gated = 0;  // kRegex candidates a missing factor rejected
+                          // before the VM (Pattern::necessary_factors)
 };
 
 // ------------------------------ database ------------------------------

@@ -13,7 +13,13 @@ namespace detail {
 namespace {
 
 constexpr std::uint32_t kInfinity = std::numeric_limits<std::uint32_t>::max();
+// Cap on the program size, counted at the unrolled width of every Run op
+// (see Compiler::emit_run), so the Run op does not change which sources
+// compile.
 constexpr std::size_t kMaxProgramSize = 1u << 20;
+// Shortest literal run worth a memmem: the floor for the prefilter
+// literal and for the VM gate's factors.
+constexpr std::size_t kMinLiteralRun = 3;
 
 // ---------------------------- AST ----------------------------
 
@@ -403,11 +409,16 @@ class Compiler {
   }
 
   std::uint32_t emit(Instr i) {
-    if (prog_.code.size() >= kMaxProgramSize) {
-      throw PatternError("pattern too large to compile", 0);
-    }
+    count_unrolled(1);
     prog_.code.push_back(i);
     return static_cast<std::uint32_t>(prog_.code.size() - 1);
+  }
+
+  void count_unrolled(std::uint64_t n) {
+    unrolled_ += n;
+    if (unrolled_ > kMaxProgramSize) {
+      throw PatternError("pattern too large to compile", 0);
+    }
   }
 
   void emit_save(std::uint32_t slot) { emit(Instr{Op::Save, slot, 0}); }
@@ -480,6 +491,7 @@ class Compiler {
 
   void compile_rep(const Node& n) {
     const Node& body = *n.children[0];
+    if (n.max != kInfinity && emit_run(n, body)) return;
     // Mandatory copies.
     for (std::uint32_t i = 0; i < n.min; ++i) compile(body);
     if (n.max == n.min) return;
@@ -508,7 +520,25 @@ class Compiler {
     for (std::uint32_t s : splits) prog_.code[s].y = here();
   }
 
+  // A bounded repeat of one byte compiles to Run + body (program.h) when
+  // that is shorter than unrolling it: min mandatory copies plus a
+  // Split + copy per optional one.
+  bool emit_run(const Node& n, const Node& body) {
+    if (body.kind != Node::Kind::Lit && body.kind != Node::Kind::Cls &&
+        body.kind != Node::Kind::Any) {
+      return false;
+    }
+    const std::uint64_t unrolled =
+        n.min + 2 * static_cast<std::uint64_t>(n.max - n.min);
+    if (unrolled <= 2) return false;
+    emit(Instr{Op::Run, n.min, n.max});
+    compile(body);
+    count_unrolled(unrolled - 2);
+    return true;
+  }
+
   Program& prog_;
+  std::uint64_t unrolled_ = 0;  // code size had every Run been unrolled
 };
 
 // ---------------------- Literal pre-filter ----------------------
@@ -639,7 +669,7 @@ std::optional<LitRun> best_literal_run(const std::vector<const Node*>& items) {
 
 void find_literal(const std::vector<const Node*>& items, Program& prog) {
   const std::optional<LitRun> best = best_literal_run(items);
-  if (!best || best->text.size() < 3) return;
+  if (!best || best->text.size() < kMinLiteralRun) return;
   prog.literal = best->text;
   prog.lit_min_prefix = static_cast<std::size_t>(best->off_min);
   prog.lit_usable = true;
@@ -812,6 +842,37 @@ void mark_hintable(Program& prog) {
                           prog.literal == prog.confirm.anchor;
 }
 
+// ------------------------- VM factor gate -------------------------
+//
+// Every literal run of the flattened item sequence (the one
+// best_literal_run reads) occurs in every match, in item order and without
+// overlap: groups are transparent, and anything that could skip or vary
+// its content — alternation, repeats (optional groups included),
+// backreferences — is a single item that closes the run and contributes
+// nothing from inside. Only kRegex programs store them: the other tiers
+// never run the VM.
+void find_factors(const std::vector<const Node*>& items, Program& prog) {
+  if (prog.tier != ConfirmTier::kRegex) return;
+  std::vector<std::string> factors;
+  std::string run;
+  auto close_run = [&] {
+    if (run.size() >= kMinLiteralRun) factors.push_back(run);
+    run.clear();
+  };
+  for (const Node* item : items) {
+    if (item->kind == Node::Kind::Lit) {
+      run.push_back(static_cast<char>(item->ch));
+    } else {
+      close_run();
+    }
+  }
+  close_run();
+  if (!factors.empty()) {
+    prog.factors =
+        std::make_unique<const std::vector<std::string>>(std::move(factors));
+  }
+}
+
 }  // namespace
 
 }  // namespace detail
@@ -844,6 +905,7 @@ Pattern Pattern::compile(std::string_view source) {
   detail::find_literal(items, *program);
   detail::classify_confirm(*root, items, *program);
   detail::mark_hintable(*program);
+  detail::find_factors(items, *program);
   p.program_ = std::move(program);
   return p;
 }
@@ -860,6 +922,11 @@ const detail::Program& Pattern::compiled_program() const { return *program_; }
 
 const std::string& Pattern::required_literal() const {
   return program_->literal;
+}
+
+std::span<const std::string> Pattern::necessary_factors() const {
+  if (!program_->factors) return {};
+  return *program_->factors;
 }
 
 std::string Pattern::escape(std::string_view text) {

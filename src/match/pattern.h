@@ -18,29 +18,32 @@
 // literal, which makes scanning large sample streams cheap (Kizzle
 // signatures are long and highly literal, see paper §IV).
 //
-// Prefiltering happens at two levels:
+// Prefiltering happens at three levels:
 //
+//   per-database  match/prefilter.h builds one multi-literal first stage
+//                 over the required_literal() of *every* deployed pattern.
+//                 A single pass over the text yields the candidate
+//                 signature subset. Patterns with no usable literal stay on
+//                 an always-check fallback list, so the prefiltered scan is
+//                 exactly equivalent to running every pattern.
 //   per-pattern   search() memmem-locates this pattern's required_literal()
 //                 and only runs the VM around its occurrences; absent
 //                 literal → immediate no-match, no VM steps charged.
-//   per-database  match/prefilter.h builds one multi-literal first stage
-//                 over the required_literal() of *every* deployed pattern.
-//                 A single streaming pass over the text yields the candidate
-//                 signature subset; only candidates run search(). Patterns
-//                 with no usable literal stay on an always-check fallback
-//                 list, so the prefiltered scan is exactly equivalent to
-//                 running every pattern — it just skips searches that the
-//                 per-pattern memmem would have rejected anyway.
+//   VM gate       confirm_span() on a kRegex pattern first checks all of its
+//                 necessary_factors() — every top-level literal run, not
+//                 just the longest — with a greedy leftmost find() chain;
+//                 a missing factor rejects the candidate before the VM
+//                 starts.
 //
-// match::Scanner, core::SignatureBundle, core::KizzlePipeline and
-// av::ManualAvEngine all scan through the database-level prefilter; the
-// brute-force path survives as Scanner::scan_brute_force for differential
-// tests and benchmarks.
+// engine::scan (and every façade over engine::Database) confirms candidates
+// through confirm_span(); search() and search_span() stay ungated and are
+// its differential oracle.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -93,6 +96,9 @@ enum class ConfirmTier : std::uint8_t {
 struct SpanResult {
   bool matched = false;
   bool budget_exceeded = false;
+  // confirm_span() only: a necessary factor is absent, so the kRegex VM
+  // never started (matched and budget_exceeded are false).
+  bool gated = false;
   std::size_t begin = 0;  // valid iff matched
   std::size_t end = 0;
 
@@ -158,8 +164,11 @@ class Pattern {
   // every pattern, but pure-literal and literal-dominated patterns confirm
   // through their compiled confirm program (a find()/memcmp skip-loop that
   // cannot blow up, so no budget is charged) and only regex-shaped
-  // patterns run the VM. This is what engine::scan confirms candidates
-  // with; the equivalence is pinned by differential tests.
+  // patterns run the VM, and only when the text holds every
+  // necessary_factors() entry in order. This is what engine::scan
+  // confirms candidates with; the equivalence is pinned by differential
+  // tests. The one divergence: where search_span() would exhaust its
+  // budget but a factor is absent, this reports a clean no-match.
   //
   // `anchor_hint`, when not npos, promises that the leftmost occurrence of
   // required_literal() in `text` starts exactly there (the prefilter's
@@ -186,6 +195,11 @@ class Pattern {
   // Longest literal every match must contain (pre-filter); empty if the
   // pattern has no usable required literal.
   const std::string& required_literal() const;
+
+  // The ordered top-level literal runs (>= 3 bytes) every match contains,
+  // which confirm_span() checks before any VM run. Empty for the compiled
+  // tiers, which never run the VM, and for patterns without such runs.
+  std::span<const std::string> necessary_factors() const;
 
   // Read-only view of the compiled program (match/program.h) — the seam
   // the static analyzer (analyze/analyze.h) walks to bound VM behavior.

@@ -5,6 +5,7 @@
 #include <array>
 #include <bitset>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,12 @@ enum class Op : std::uint8_t {
   Char,      // arg: byte value
   Class,     // arg: index into class table
   Any,       // any byte except '\n'
+  Run,       // bounded greedy repeat of the single-byte body at pc+1 (a
+             // Char, Class or Any); x: min count, y: max count. Consumes
+             // the longest run up to y, continues at pc+2, and on
+             // backtrack gives back one byte at a time down to x — the
+             // order, spans and step charge of the unrolled
+             // (x (x (x)?)?)? form, in one dispatch and one stack frame.
   Split,     // try x first, then y (backtrack point)
   Jmp,       // jump to x
   Save,      // arg: capture slot index (2*group for begin, +1 for end)
@@ -29,8 +36,8 @@ enum class Op : std::uint8_t {
 struct Instr {
   Op op;
   std::uint32_t x = 0;  // Split/Jmp target, Char byte, Class idx, Save slot,
-                        // Backref group, Progress slot
-  std::uint32_t y = 0;  // Split second target
+                        // Backref group, Progress slot, Run min
+  std::uint32_t y = 0;  // Split second target, Run max
 };
 
 using ByteSet = std::bitset<256>;
@@ -87,6 +94,12 @@ struct Program {
   // (Program::literal): a prefilter-supplied leftmost-occurrence position
   // of that literal may then seed the anchor search in confirm_span().
   bool confirm_hintable = false;
+
+  // kRegex programs only (null otherwise, so the compiled tiers pay one
+  // pointer): the ordered top-level literal runs of at least 3 bytes that
+  // every match contains, in this order and without overlap. confirm_span()
+  // rejects a candidate whose text lacks the chain before the VM starts.
+  std::unique_ptr<const std::vector<std::string>> factors;
 };
 
 }  // namespace kizzle::match::detail

@@ -1,5 +1,6 @@
 // Backtracking executor for compiled patterns, plus the literal-prefilter
-// search strategy.
+// search strategy and the tiered confirm_span() (compiled confirm
+// programs, then the factor-gated VM).
 #include <algorithm>
 #include <cstring>
 #include <limits>
@@ -21,10 +22,14 @@ struct VmState {
     std::uint32_t index;
     std::size_t value;
   };
+  // A Split's alternative, or (run_floor != kNoRun) a Run's remaining
+  // counts: resume at pc with sp, sp - 1, ... down to run_floor.
+  static constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
   struct Frame {
     std::uint32_t pc;
     std::size_t sp;
     std::size_t undo_size;
+    std::size_t run_floor = kNoRun;
   };
 
   std::vector<std::size_t> slots;
@@ -103,6 +108,31 @@ class Machine {
             fail = true;
           }
           break;
+        case Op::Run: {
+          const std::size_t n = run_length(prog_.code[pc + 1], sp, ins.y);
+          // Charge what the unrolled form executes: each mandatory copy,
+          // a Split + copy per optional one, and the Split + failing copy
+          // that ends a run short of max (or the failing mandatory copy).
+          const std::uint64_t cost =
+              n < ins.x ? n + 1 : ins.x + 2 * (n - ins.x) + (n < ins.y ? 2 : 0);
+          if (cost - 1 > *steps) {  // the dispatch above took one step
+            *steps = 0;
+            *budget_exceeded = true;
+            return false;
+          }
+          *steps -= cost - 1;
+          if (n < ins.x) {
+            fail = true;
+            break;
+          }
+          if (n > ins.x) {
+            st_.stack.push_back(
+                VmState::Frame{pc + 2, sp + n, st_.undo.size(), sp + ins.x});
+          }
+          sp += n;
+          pc += 2;
+          break;
+        }
         case Op::Bol:
           if (sp == 0) {
             ++pc;
@@ -160,8 +190,13 @@ class Machine {
       }
       if (fail) {
         if (st_.stack.empty()) return false;
-        const VmState::Frame f = st_.stack.back();
-        st_.stack.pop_back();
+        VmState::Frame& top = st_.stack.back();
+        const VmState::Frame f = top;
+        if (f.run_floor == VmState::kNoRun) {
+          st_.stack.pop_back();
+        } else if (--top.sp == f.run_floor) {  // give back one byte
+          st_.stack.pop_back();
+        }
         while (st_.undo.size() > f.undo_size) {
           const VmState::Undo& u = st_.undo.back();
           if (u.kind == VmState::UndoKind::Slot) {
@@ -172,7 +207,7 @@ class Machine {
           st_.undo.pop_back();
         }
         pc = f.pc;
-        sp = f.sp;
+        sp = f.run_floor == VmState::kNoRun ? f.sp : f.sp - 1;
       }
     }
   }
@@ -180,6 +215,29 @@ class Machine {
   const std::vector<std::size_t>& slots() const { return st_.slots; }
 
  private:
+  // How many bytes from sp the Run body `body` accepts, capped at `max`.
+  std::size_t run_length(const Instr& body, std::size_t sp,
+                         std::size_t max) const {
+    const std::size_t limit = std::min(max, text_.size() - sp);
+    const unsigned char* p =
+        reinterpret_cast<const unsigned char*>(text_.data()) + sp;
+    std::size_t n = 0;
+    switch (body.op) {
+      case Op::Char:
+        while (n < limit && p[n] == body.x) ++n;
+        break;
+      case Op::Class: {
+        const detail::ByteSet& set = prog_.classes[body.x];
+        while (n < limit && set[p[n]]) ++n;
+        break;
+      }
+      default:  // Op::Any
+        while (n < limit && p[n] != '\n') ++n;
+        break;
+    }
+    return n;
+  }
+
   void push_undo(VmState::UndoKind kind, std::uint32_t index,
                  std::size_t value) {
     st_.undo.push_back(VmState::Undo{kind, index, value});
@@ -389,6 +447,20 @@ SpanResult confirm_dominated(const Program& prog, std::string_view text,
   return r;
 }
 
+// The VM gate: a match starting at or after `from` holds every factor, in
+// order and without overlap. Greedy leftmost occurrences are never later
+// than the match's own, so a broken chain proves there is no match.
+bool factors_in_order(const std::vector<std::string>& factors,
+                      std::string_view text, std::size_t from) {
+  std::size_t pos = from;
+  for (const std::string& factor : factors) {
+    const std::size_t hit = text.find(factor, pos);
+    if (hit == std::string_view::npos) return false;
+    pos = hit + factor.size();
+  }
+  return true;
+}
+
 }  // namespace
 
 SpanResult Pattern::confirm_span(std::string_view text, VmScratch& scratch,
@@ -424,6 +496,11 @@ SpanResult Pattern::confirm_span(std::string_view text, VmScratch& scratch,
       return confirm_dominated(prog, text, from, anchor_hint);
     case ConfirmTier::kRegex:
       break;
+  }
+  if (prog.factors && !factors_in_order(*prog.factors, text, from)) {
+    SpanResult r;
+    r.gated = true;
+    return r;
   }
   return search_span(text, scratch, from, budget);
 }

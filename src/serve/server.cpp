@@ -568,6 +568,10 @@ ArtifactWatcher::ArtifactWatcher(ScanServer& server, std::string path,
       // or a fast copy to complete, short enough that a real release
       // deploys within the next poll.
       settle_(settle.count() >= 0 ? settle : poll_ / 2) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    prime_locked();
+  }
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -582,6 +586,11 @@ void ArtifactWatcher::stop() {
 ArtifactWatcher::Stats ArtifactWatcher::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+bool ArtifactWatcher::primed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return primed_;
 }
 
 void ArtifactWatcher::loop() {
@@ -623,6 +632,10 @@ bool stat_identity(const char* path, std::int64_t& mtime_ns,
 
 }  // namespace
 
+void ArtifactWatcher::prime_locked() {
+  primed_ = stat_identity(path_.c_str(), seen_mtime_, seen_size_);
+}
+
 bool ArtifactWatcher::try_deploy() {
   std::int64_t mtime = 0;
   std::uint64_t size = 0;
@@ -631,8 +644,8 @@ bool ArtifactWatcher::try_deploy() {
     std::lock_guard<std::mutex> lock(mu_);
     if (primed_ && mtime == seen_mtime_ && size == seen_size_) return false;
     if (!primed_) {
-      // First observation primes the identity without deploying — the
-      // server was started from this very artifact.
+      // The file appeared after construction: this first observation
+      // primes the identity without deploying.
       seen_mtime_ = mtime;
       seen_size_ = size;
       primed_ = true;

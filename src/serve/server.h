@@ -321,6 +321,11 @@ class ScanServer {
 // the next poll retries once the writer finishes. A complete-but-bad file
 // still simply fails verification, is counted as rejected, and is not
 // retried until the file changes again.
+//
+// The file's identity at construction is the primed baseline (the server
+// was started from it), so a release renamed into place any time after
+// the constructor returns is deployed. When the file does not exist yet,
+// the first poll that sees it primes instead.
 class ArtifactWatcher {
  public:
   struct Stats {
@@ -339,10 +344,15 @@ class ArtifactWatcher {
 
   void stop();
   Stats stats() const;
+  // True once the baseline identity is recorded (see above).
+  bool primed() const;
 
  private:
   void loop();
   bool try_deploy();
+  // Records the file's current identity as the baseline (primed_ stays
+  // false when the file cannot be stat'ed). Caller holds mu_.
+  void prime_locked();
 
   ScanServer& server_;
   std::string path_;

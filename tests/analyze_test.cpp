@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/analyze.h"
@@ -29,6 +30,7 @@
 #include "engine/engine.h"
 #include "kitgen/stream.h"
 #include "match/pattern.h"
+#include "match/program.h"
 #include "support/errors.h"
 
 namespace kizzle::analyze {
@@ -89,6 +91,50 @@ TEST(ProgramFacts, DeadOnNormalizedText) {
   EXPECT_FALSE(facts_of("uvwxyz").dead_normalized);
   // A quote behind an alternation leaves a live path.
   EXPECT_FALSE(facts_of("uvw(\"|z)xyz").dead_normalized);
+}
+
+// A bounded one-byte repeat compiles to a Run op; wrapped in a
+// non-capturing group the same repeat unrolls into Splits. Every fact the
+// lint reads must come out the same for both: a Run with min == 0 is
+// skippable in the reachability walks, and the step bound counts it at
+// its unrolled width.
+TEST(ProgramFacts, RunOpFactsEqualTheUnrolledForm) {
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"ab{2,5}c{3}[a-z]{1,4}d", "a(?:b){2,5}(?:c){3}(?:[a-z]){1,4}d"},
+      {"uvw[\"]{0,4}xyz", "uvw(?:[\"]){0,4}xyz"},
+      {"uvw[\"]{1,4}xyz", "uvw(?:[\"]){1,4}xyz"},
+      {"uvw[ ']{3}xyz|q\"", "uvw(?:[ ']){3}xyz|q\""},
+      {"(?:[a-z]{1,3})+qzv", "(?:(?:[a-z]){1,3})+qzv"},
+      {"([0-9]{0,4}[a-z]+)+x", "((?:[0-9]){0,4}[a-z]+)+x"},
+      {"([0-9]{2,4}[a-z]+)+x", "((?:[0-9]){2,4}[a-z]+)+x"},
+      {"([a-z]{0,4}[a-z]+)+x", "((?:[a-z]){0,4}[a-z]+)+x"},
+      {"ab{0,3}c|xyz", "a(?:b){0,3}c|xyz"},
+      {"a{3}bc|xyz", "(?:a){3}bc|xyz"},
+      {"[a-z]{5000,9000}(x+)+y", "(?:[a-z]){5000,9000}(x+)+y"},
+      {"k.{0,40}(a+b+)+x", "k(?:.){0,40}(a+b+)+x"},
+  };
+  for (const auto& [run, unrolled] : pairs) {
+    SCOPED_TRACE(run);
+    EXPECT_LT(match::Pattern::compile(run).compiled_program().code.size(),
+              match::Pattern::compile(unrolled)
+                  .compiled_program()
+                  .code.size());
+    const auto a = facts_of(run);
+    const auto b = facts_of(unrolled);
+    EXPECT_EQ(a.unreachable, b.unreachable);
+    EXPECT_EQ(a.loops, b.loops);
+    EXPECT_EQ(a.max_loop_depth, b.max_loop_depth);
+    EXPECT_EQ(a.ambiguous_nesting, b.ambiguous_nesting);
+    EXPECT_EQ(a.literal_alternation, b.literal_alternation);
+    EXPECT_EQ(a.dead_normalized, b.dead_normalized);
+    EXPECT_DOUBLE_EQ(a.log2_step_bound, b.log2_step_bound);
+  }
+  // The pairs cover both answers of the walks a Run takes part in.
+  EXPECT_FALSE(facts_of("uvw[\"]{0,4}xyz").dead_normalized);
+  EXPECT_TRUE(facts_of("uvw[\"]{1,4}xyz").dead_normalized);
+  EXPECT_TRUE(facts_of("([0-9]{0,4}[a-z]+)+x").ambiguous_nesting);
+  EXPECT_FALSE(facts_of("([0-9]{2,4}[a-z]+)+x").ambiguous_nesting);
+  EXPECT_TRUE(facts_of("ab{0,3}c|xyz").literal_alternation);
 }
 
 // The pathological table: one signature per diagnostic class, each

@@ -368,6 +368,34 @@ TEST(EngineScan, ScanStatsReportTierSplitAndPrefilterCounters) {
   EXPECT_EQ(scratch.stats().confirmed_vm, 1u);
 }
 
+TEST(EngineScan, FactorGateCountsRejectsAndSkipsTheVm) {
+  // "yyyy" is the registered literal, so the prefilter hands this
+  // signature over whenever it appears; only texts that also hold "zzz"
+  // after it start the VM.
+  const Database db = Database::compile(std::vector<Database::Spec>{
+      {"rex", "fam", "(x+x+)+yyyy[0-9]+zzz"},
+  });
+  ASSERT_EQ(db.pattern(0).confirm_tier(), match::ConfirmTier::kRegex);
+  Scratch scratch;
+  const auto count = [](const MatchEvent&) { return ScanDecision::Continue; };
+
+  // Without the gate this text blows the VM budget; gated, it is a clean
+  // no-match that never started the VM.
+  ScanOutcome outcome =
+      scan(db, std::string(64, 'x') + "yyyy12", scratch, count);
+  EXPECT_EQ(outcome.events, 0u);
+  EXPECT_EQ(outcome.budget_exceeded, 0u);
+  EXPECT_TRUE(outcome.complete());
+  EXPECT_EQ(scratch.stats().candidates, 1u);
+  EXPECT_EQ(scratch.stats().gated, 1u);
+  EXPECT_EQ(scratch.stats().confirmed_vm, 0u);
+
+  outcome = scan(db, "xxyyyy12zzz", scratch, count);
+  EXPECT_EQ(outcome.events, 1u);
+  EXPECT_EQ(scratch.stats().gated, 0u);
+  EXPECT_EQ(scratch.stats().confirmed_vm, 1u);
+}
+
 // --------------------------- scratch recycling ---------------------------
 
 TEST(EngineScratch, RecycledScratchEqualsFreshScratch) {

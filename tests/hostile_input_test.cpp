@@ -28,6 +28,7 @@
 
 #include "analyze/analyze.h"
 #include "core/sigdb.h"
+#include "match/pattern.h"
 #include "support/errors.h"
 #include "support/hash.h"
 #include "text/normalize.h"
@@ -307,6 +308,28 @@ TEST(HostileInput, CommittedLintCorpusReplays) {
   // The mutation sweep over a valid bundle: the linter must diagnose or
   // reject every near-valid mutant, never crash or hang on one.
   mutation_sweep(valid_artifact_bytes(), lint_bytes);
+}
+
+// fuzz_pattern's contract on its committed seeds (signature source, '\n',
+// sample text): the source compiles, and the factor-gated confirm_span
+// reports exactly the ungated VM's span.
+TEST(HostileInput, CommittedPatternCorpusReplays) {
+  const auto files = corpus_files("pattern");
+  ASSERT_FALSE(files.empty()) << "seed corpus missing from fuzz/";
+  match::VmScratch scratch;
+  for (const auto& file : files) {
+    const std::string bytes = slurp(file);
+    const std::size_t cut = bytes.find('\n');
+    ASSERT_NE(cut, std::string::npos) << file;
+    const std::string_view text = std::string_view(bytes).substr(cut + 1);
+    const match::Pattern p = match::Pattern::compile(bytes.substr(0, cut));
+    const match::SpanResult want = p.search_span(text, scratch);
+    const match::SpanResult got = p.confirm_span(text, scratch);
+    ASSERT_FALSE(want.budget_exceeded) << file;
+    EXPECT_EQ(got.matched, want.matched) << file;
+    EXPECT_EQ(got.begin, want.begin) << file;
+    EXPECT_EQ(got.end, want.end) << file;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "match/pattern.h"
+#include "match/program.h"
 #include "match/scanner.h"
 
 namespace kizzle::match {
@@ -288,6 +289,124 @@ TEST(Pattern, ConfirmSpanAgreesWithVmSearch) {
       }
     }
   }
+}
+
+std::vector<std::string> factors_of(const std::string& source) {
+  const Pattern p = Pattern::compile(source);
+  EXPECT_EQ(p.confirm_tier(), ConfirmTier::kRegex) << source;
+  const auto f = p.necessary_factors();
+  return {f.begin(), f.end()};
+}
+
+TEST(Pattern, NecessaryFactorsStopAtAlternationOptionalAndBackref) {
+  using V = std::vector<std::string>;
+  // Every top-level literal run of >= 3 bytes, in order; groups are
+  // transparent and shorter runs are dropped.
+  EXPECT_EQ(factors_of("abcd[0-9]+xy[a-z]*(efg)hij[0-9]+"),
+            (V{"abcd", "efghij"}));
+  // Top-level alternation: no factor from either branch.
+  EXPECT_EQ(factors_of("abcdef|ghijkl"), V{});
+  EXPECT_EQ(factors_of("abcd(?:efgh|ijkl)mnop"), (V{"abcd", "mnop"}));
+  // Optional group: it breaks the run and contributes nothing.
+  EXPECT_EQ(factors_of("abcd(?:efgh)?ijkl"), (V{"abcd", "ijkl"}));
+  EXPECT_EQ(factors_of("abcd(efgh)*ijkl"), (V{"abcd", "ijkl"}));
+  // Backreference: it breaks the run; the group's own text still counts.
+  EXPECT_EQ(factors_of("(?<v>abcd)xyz\\k<v>wxyz"), (V{"abcdxyz", "wxyz"}));
+  // The compiled tiers never run the VM, so they carry no gate.
+  EXPECT_TRUE(Pattern::compile("abcdef").necessary_factors().empty());
+  EXPECT_TRUE(
+      Pattern::compile("abc[0-9]{0,8}def").necessary_factors().empty());
+}
+
+TEST(Pattern, FactorGateNeverHidesAVmMatch) {
+  // Gate-shaped patterns against texts holding their factors in and out
+  // of order, overlapping and at every start offset: a gated reject
+  // requires the ungated VM to find nothing.
+  const std::vector<std::string> sources = {
+      "abc[0-9]*bcd",           "abc[0-9]+abc",
+      "(x+)abc.{0,6}def\\1",  "abcd(?:12|34)?efgh[a-z]{2,9}ijk",
+      "^abc[0-9]*def",          "abcab(?:y)?cabd",
+  };
+  const std::vector<std::string> texts = {
+      "",
+      "abcd",
+      "abc12bcd",
+      "bcd abc",
+      "abcabc",
+      "xxabcdefx",
+      "xabc1234defx",
+      "abcd34efghzzijk",
+      "abcdefghijk abcd12efghqqijk",
+      "abcabd abcabcabd",
+      "abc9def",
+  };
+  VmScratch scratch;
+  for (const std::string& src : sources) {
+    const Pattern p = Pattern::compile(src);
+    ASSERT_FALSE(p.necessary_factors().empty()) << src;
+    for (const std::string& text : texts) {
+      for (std::size_t from = 0; from <= text.size(); ++from) {
+        const SpanResult want = p.search_span(text, scratch, from);
+        const SpanResult got = p.confirm_span(text, scratch, from);
+        ASSERT_FALSE(want.budget_exceeded);
+        ASSERT_EQ(got.matched, want.matched)
+            << src << " on \"" << text << "\" from " << from;
+        if (got.gated) EXPECT_FALSE(want.matched);
+        if (want.matched) {
+          EXPECT_EQ(got.begin, want.begin) << src << " from " << from;
+          EXPECT_EQ(got.end, want.end) << src << " from " << from;
+        }
+      }
+    }
+  }
+}
+
+TEST(Pattern, FactorGateTurnsBudgetBlowupIntoCleanNoMatch) {
+  // The one allowed divergence from search_span(): the required literal
+  // "yyyy" is present, so the ungated VM backtracks (x+x+)+ until its
+  // budget runs out — but "zzz" never follows, which the gate proves
+  // without running the VM.
+  const Pattern p = Pattern::compile("(x+x+)+yyyy[0-9]+zzz");
+  ASSERT_EQ(p.required_literal(), "yyyy");
+  VmScratch scratch;
+  for (const std::string& text :
+       {std::string(64, 'x') + "yyyy12", "zzz" + std::string(64, 'x') + "yyyy1"}) {
+    const SpanResult ungated = p.search_span(text, scratch, 0, 200000);
+    EXPECT_TRUE(ungated.budget_exceeded);
+    const SpanResult gated = p.confirm_span(text, scratch, 0, 200000);
+    EXPECT_TRUE(gated.gated);
+    EXPECT_FALSE(gated.matched);
+    EXPECT_FALSE(gated.budget_exceeded);
+  }
+  // With every factor in order the VM runs as before.
+  const SpanResult ran =
+      p.confirm_span("xxyyyy12zzz", scratch, 0, 200000);
+  EXPECT_FALSE(ran.gated);
+  EXPECT_TRUE(ran.matched);
+}
+
+TEST(Pattern, BoundedByteRepeatCompilesToOneRunOp) {
+  // A Nuclear-style payload run: unrolled it would be ~19k instructions.
+  const Pattern p = Pattern::compile("abc[0-9a-z]{12312,15672}\\.def");
+  EXPECT_LT(p.compiled_program().code.size(), 16u);
+  const std::string run(13000, 'q');
+  VmScratch scratch;
+  const SpanResult hit =
+      p.search_span("xx abc" + run + ".def", scratch);
+  ASSERT_TRUE(hit.matched);
+  EXPECT_EQ(hit.begin, 3u);
+  EXPECT_EQ(hit.end, 3u + 3 + run.size() + 4);
+  // Greedy, then give back: the run stops short of the longest stretch
+  // when only that leaves room for what follows.
+  const Pattern tail = Pattern::compile("a[ab]{2,6}bc");
+  const MatchResult r = tail.search("xaabbbbbcx");
+  ASSERT_TRUE(r.matched);
+  EXPECT_EQ(r.begin, 1u);
+  EXPECT_EQ(r.end, 9u);
+  EXPECT_FALSE(p.search_span("abc" + std::string(12311, 'q') + ".def",
+                             scratch).matched);
+  EXPECT_FALSE(p.search_span("abc" + std::string(15673, 'q') + ".def",
+                             scratch).matched);
 }
 
 TEST(Pattern, CopySemantics) {

@@ -258,12 +258,12 @@ void print_scan_stats(const engine::ScanStats& st) {
   std::fprintf(stderr,
                "  [first-stage=%s hits=%zu shards=%zu dense=%zu "
                "survivors=%zu candidates=%zu confirm: find=%zu program=%zu "
-               "vm=%zu]\n",
+               "vm=%zu gated=%zu]\n",
                first_stage_name(st.prefilter.fallback),
                st.prefilter.first_stage_hits, st.prefilter.shards_scanned,
                st.prefilter.dense_shards, st.prefilter.literal_survivors,
                st.candidates, st.confirmed_literal,
-               st.confirmed_literal_dominated, st.confirmed_vm);
+               st.confirmed_literal_dominated, st.confirmed_vm, st.gated);
 }
 
 // Artifact path: compile the artifact into an engine database and stream
@@ -651,6 +651,12 @@ int cmd_serve(const std::vector<std::string>& raw_args) {
                fixture.docs.size(),
                static_cast<unsigned long long>(server.epoch()),
                watch_path.empty() ? "-" : watch_path.c_str());
+  if (watcher) {
+    // Readiness: from here on a release renamed over the watched path is
+    // deployed (tools/serve_smoke.sh waits for this line).
+    std::fprintf(stderr, "[serve] watch-ready primed=%d\n",
+                 watcher->primed() ? 1 : 0);
+  }
 
   const serve::LoadReport report =
       serve::run_load(server, fixture.docs, lcfg);

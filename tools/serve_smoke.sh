@@ -24,8 +24,20 @@ trap 'rm -rf "$tmp"' EXIT
   --poll-ms 100 "$tmp/live.kpf" 2> "$tmp/serve.log" &
 serve_pid=$!
 
-# Let the watcher prime on the initial artifact, then ship the release.
-sleep 1.2
+# Wait until the watcher has primed on the initial artifact (serve prints
+# a readiness line; startup builds its fixture first, which takes seconds
+# under sanitizers), then ship the release.
+for _ in $(seq 600); do
+  grep -q '^\[serve\] watch-ready primed=1' "$tmp/serve.log" && break
+  kill -0 "$serve_pid" 2> /dev/null || break
+  sleep 0.1
+done
+if ! grep -q '^\[serve\] watch-ready primed=1' "$tmp/serve.log"; then
+  echo "serve smoke: watcher never reported ready:" >&2
+  cat "$tmp/serve.log" >&2
+  kill "$serve_pid" 2> /dev/null || true
+  exit 1
+fi
 mv "$tmp/next.kpf" "$tmp/live.kpf"
 
 if ! wait "$serve_pid"; then
