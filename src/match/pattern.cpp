@@ -619,9 +619,9 @@ void flatten(const Node& n, std::vector<const Node*>& out) {
 // it bounds per-hit work inside ONE pattern's search.)
 constexpr std::uint64_t kMaxLiteralOffsetSpread = 4096;
 
-// The longest literal run of the flattened item sequence, with its offset
-// bounds from the match start and the item range [item_begin, item_end)
-// it occupies — the confirm-program classifier anchors on that range.
+// A literal run of the flattened item sequence, with its offset bounds
+// from the match start and the item range [item_begin, item_end) it
+// occupies — the confirm-program classifier anchors on that range.
 struct LitRun {
   std::string text;
   std::uint64_t off_min = 0;
@@ -630,18 +630,18 @@ struct LitRun {
   std::size_t item_end = 0;
 };
 
-std::optional<LitRun> best_literal_run(const std::vector<const Node*>& items) {
-  std::optional<LitRun> best;
+// Every literal run of the flattened item sequence, in item order.
+std::vector<LitRun> literal_runs(const std::vector<const Node*>& items) {
+  std::vector<LitRun> runs;
   LitRun run;
   std::uint64_t off_min = 0;
   std::uint64_t off_max = 0;
 
   auto close_run = [&](std::size_t end_item) {
+    if (run.text.empty()) return;
     run.item_end = end_item;
-    if (!run.text.empty() && (!best || run.text.size() > best->text.size())) {
-      best = run;
-    }
-    run.text.clear();
+    runs.push_back(std::move(run));
+    run = LitRun{};
   };
 
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -664,11 +664,20 @@ std::optional<LitRun> best_literal_run(const std::vector<const Node*>& items) {
                                                            : off_max + w.max;
   }
   close_run(items.size());
+  return runs;
+}
+
+// The longest (first, on ties) literal run; null when there is none.
+const LitRun* best_literal_run(const std::vector<LitRun>& runs) {
+  const LitRun* best = nullptr;
+  for (const LitRun& run : runs) {
+    if (!best || run.text.size() > best->text.size()) best = &run;
+  }
   return best;
 }
 
-void find_literal(const std::vector<const Node*>& items, Program& prog) {
-  const std::optional<LitRun> best = best_literal_run(items);
+void find_literal(const std::vector<LitRun>& runs, Program& prog) {
+  const LitRun* best = best_literal_run(runs);
   if (!best || best->text.size() < kMinLiteralRun) return;
   prog.literal = best->text;
   prog.lit_min_prefix = static_cast<std::size_t>(best->off_min);
@@ -788,7 +797,7 @@ bool steps_for(const std::vector<const Node*>& items, std::size_t begin,
 }
 
 void classify_confirm(const Node& root, const std::vector<const Node*>& items,
-                      Program& prog) {
+                      const std::vector<LitRun>& runs, Program& prog) {
   prog.tier = ConfirmTier::kRegex;
   if (!tree_confirmable(root)) return;
 
@@ -804,7 +813,7 @@ void classify_confirm(const Node& root, const std::vector<const Node*>& items,
     return;
   }
 
-  const std::optional<LitRun> best = best_literal_run(items);
+  const LitRun* best = best_literal_run(runs);
   if (!best) return;  // nothing to anchor on
   ConfirmProgram cp;
   cp.anchor = best->text;
@@ -844,29 +853,18 @@ void mark_hintable(Program& prog) {
 
 // ------------------------- VM factor gate -------------------------
 //
-// Every literal run of the flattened item sequence (the one
-// best_literal_run reads) occurs in every match, in item order and without
-// overlap: groups are transparent, and anything that could skip or vary
-// its content — alternation, repeats (optional groups included),
-// backreferences — is a single item that closes the run and contributes
-// nothing from inside. Only kRegex programs store them: the other tiers
-// never run the VM.
-void find_factors(const std::vector<const Node*>& items, Program& prog) {
+// Every literal run of the flattened item sequence occurs in every match,
+// in item order and without overlap: groups are transparent, and anything
+// that could skip or vary its content — alternation, repeats (optional
+// groups included), backreferences — is a single item that closes the run
+// and contributes nothing from inside. Only kRegex programs store them:
+// the other tiers never run the VM.
+void find_factors(const std::vector<LitRun>& runs, Program& prog) {
   if (prog.tier != ConfirmTier::kRegex) return;
   std::vector<std::string> factors;
-  std::string run;
-  auto close_run = [&] {
-    if (run.size() >= kMinLiteralRun) factors.push_back(run);
-    run.clear();
-  };
-  for (const Node* item : items) {
-    if (item->kind == Node::Kind::Lit) {
-      run.push_back(static_cast<char>(item->ch));
-    } else {
-      close_run();
-    }
+  for (const LitRun& run : runs) {
+    if (run.text.size() >= kMinLiteralRun) factors.push_back(run.text);
   }
-  close_run();
   if (!factors.empty()) {
     prog.factors =
         std::make_unique<const std::vector<std::string>>(std::move(factors));
@@ -902,10 +900,11 @@ Pattern Pattern::compile(std::string_view source) {
   if (!items.empty() && items.front()->kind == detail::Node::Kind::Bol) {
     program->anchored_bol = true;
   }
-  detail::find_literal(items, *program);
-  detail::classify_confirm(*root, items, *program);
+  const std::vector<detail::LitRun> runs = detail::literal_runs(items);
+  detail::find_literal(runs, *program);
+  detail::classify_confirm(*root, items, runs, *program);
   detail::mark_hintable(*program);
-  detail::find_factors(items, *program);
+  detail::find_factors(runs, *program);
   p.program_ = std::move(program);
   return p;
 }

@@ -557,6 +557,31 @@ ServerStats ScanServer::stats() const {
 
 // ------------------------------- watcher --------------------------------
 
+namespace {
+
+// (mtime, size) identity at the finest mtime resolution the platform
+// exposes: with whole-second timestamps a writer that appends twice
+// within one second looks unchanged, which is exactly the window the
+// debounce exists to close.
+bool stat_identity(const char* path, std::int64_t& mtime_ns,
+                   std::uint64_t& size) {
+  struct ::stat st = {};
+  if (::stat(path, &st) != 0) return false;
+#if defined(__APPLE__)
+  mtime_ns = static_cast<std::int64_t>(st.st_mtimespec.tv_sec) * 1000000000 +
+             st.st_mtimespec.tv_nsec;
+#elif defined(__unix__)
+  mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+             st.st_mtim.tv_nsec;
+#else
+  mtime_ns = static_cast<std::int64_t>(st.st_mtime) * 1000000000;
+#endif
+  size = static_cast<std::uint64_t>(st.st_size);
+  return true;
+}
+
+}  // namespace
+
 ArtifactWatcher::ArtifactWatcher(ScanServer& server, std::string path,
                                  std::chrono::milliseconds poll_interval,
                                  std::chrono::milliseconds settle)
@@ -568,10 +593,8 @@ ArtifactWatcher::ArtifactWatcher(ScanServer& server, std::string path,
       // or a fast copy to complete, short enough that a real release
       // deploys within the next poll.
       settle_(settle.count() >= 0 ? settle : poll_ / 2) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    prime_locked();
-  }
+  // No other thread sees the members yet: the poll thread starts below.
+  primed_ = stat_identity(path_.c_str(), seen_mtime_, seen_size_);
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -605,35 +628,6 @@ void ArtifactWatcher::loop() {
     lock.lock();
     (void)attempted;
   }
-}
-
-namespace {
-
-// (mtime, size) identity at the finest mtime resolution the platform
-// exposes: with whole-second timestamps a writer that appends twice
-// within one second looks unchanged, which is exactly the window the
-// debounce exists to close.
-bool stat_identity(const char* path, std::int64_t& mtime_ns,
-                   std::uint64_t& size) {
-  struct ::stat st = {};
-  if (::stat(path, &st) != 0) return false;
-#if defined(__APPLE__)
-  mtime_ns = static_cast<std::int64_t>(st.st_mtimespec.tv_sec) * 1000000000 +
-             st.st_mtimespec.tv_nsec;
-#elif defined(__unix__)
-  mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-             st.st_mtim.tv_nsec;
-#else
-  mtime_ns = static_cast<std::int64_t>(st.st_mtime) * 1000000000;
-#endif
-  size = static_cast<std::uint64_t>(st.st_size);
-  return true;
-}
-
-}  // namespace
-
-void ArtifactWatcher::prime_locked() {
-  primed_ = stat_identity(path_.c_str(), seen_mtime_, seen_size_);
 }
 
 bool ArtifactWatcher::try_deploy() {

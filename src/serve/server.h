@@ -350,9 +350,6 @@ class ArtifactWatcher {
  private:
   void loop();
   bool try_deploy();
-  // Records the file's current identity as the baseline (primed_ stays
-  // false when the file cannot be stat'ed). Caller holds mu_.
-  void prime_locked();
 
   ScanServer& server_;
   std::string path_;

@@ -337,7 +337,8 @@ TEST(Oracle, RunOpChargesTheUnrolledSteps) {
               unrolled.compiled_program().code.size());
     for (int t = 0; t < 3; ++t) {
       const std::string text = random_wide_text(rng);
-      const std::string what = "pattern=" + run.source() + " text=\"" + text + "\"";
+      const std::string what =
+          "pattern=" + run.source() + " text=\"" + text + "\"";
       // Steps the unrolled form needs: the least budget it completes with.
       std::uint64_t lo = 1;
       std::uint64_t hi = 1u << 22;

@@ -369,8 +369,8 @@ TEST(Pattern, FactorGateTurnsBudgetBlowupIntoCleanNoMatch) {
   const Pattern p = Pattern::compile("(x+x+)+yyyy[0-9]+zzz");
   ASSERT_EQ(p.required_literal(), "yyyy");
   VmScratch scratch;
-  for (const std::string& text :
-       {std::string(64, 'x') + "yyyy12", "zzz" + std::string(64, 'x') + "yyyy1"}) {
+  const std::string xs(64, 'x');
+  for (const std::string& text : {xs + "yyyy12", "zzz" + xs + "yyyy1"}) {
     const SpanResult ungated = p.search_span(text, scratch, 0, 200000);
     EXPECT_TRUE(ungated.budget_exceeded);
     const SpanResult gated = p.confirm_span(text, scratch, 0, 200000);
