@@ -18,7 +18,6 @@
 #include "kitgen/payload.h"
 #include "match/pattern.h"
 #include "match/prefilter.h"
-#include "match/scanner.h"
 #include "sig/common_window.h"
 #include "support/interner.h"
 #include "support/rng.h"
@@ -349,17 +348,18 @@ BENCHMARK(BM_PatternMiss);
 
 // Whole-database scan throughput vs. signature count. The deployment
 // channels scan every sample against the full signature set, so this is
-// THE production hot path. BM_ScanManySignatures goes through the shared
-// Aho–Corasick prefilter (one streaming pass + VM confirmation of the few
+// THE production hot path. BM_EngineScanManySignatures goes through the
+// engine (one literal first-stage pass + tiered confirmation of the few
 // candidates); BM_ScanManySignaturesBruteForce is the per-pattern search
-// baseline (one memmem pass per signature). Signature shapes mirror the
+// baseline (one search() per signature). Signature shapes mirror the
 // compiler's output: long escaped literal chunks, most of which are from
 // *other* samples than the one scanned — the common case in deployment.
-void add_database_signatures(match::Scanner& scanner, std::size_t count,
-                             const std::string& scanned_sample) {
+std::vector<engine::Database::Spec> database_specs(
+    std::size_t count, const std::string& scanned_sample) {
   Rng rng(14);
   std::vector<std::string> donors;
   for (int d = 0; d < 8; ++d) donors.push_back(packed_nuclear_sample(20 + d));
+  std::vector<engine::Database::Spec> specs;
   for (std::size_t i = 0; i < count; ++i) {
     // ~2% of the database hits the scanned sample, the rest is drawn from
     // unrelated samples (and salted so it cannot accidentally occur).
@@ -371,10 +371,11 @@ void add_database_signatures(match::Scanner& scanner, std::size_t count,
       chunk = donor.substr(rng.index(donor.size() - 48), 40) + "#" +
               std::to_string(i);
     }
-    scanner.add("sig" + std::to_string(i),
-                match::Pattern::compile(match::Pattern::escape(chunk) +
-                                        "[0-9a-zA-Z]{0,8}"));
+    specs.push_back(engine::Database::Spec{
+        "sig" + std::to_string(i), "",
+        match::Pattern::escape(chunk) + "[0-9a-zA-Z]{0,8}"});
   }
+  return specs;
 }
 
 // The literal first stage in isolation: one prefilter over a deployed-set
@@ -437,26 +438,14 @@ void BM_TeddyPrefilterShortLiterals(benchmark::State& state) {
 }
 BENCHMARK(BM_TeddyPrefilterShortLiterals)->Arg(64)->Arg(512);
 
-void BM_ScanManySignatures(benchmark::State& state) {
-  const std::string text = packed_nuclear_sample(1);
-  match::Scanner scanner;
-  add_database_signatures(scanner, static_cast<std::size_t>(state.range(0)),
-                          text);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scanner.scan(text));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(text.size()));
-}
-BENCHMARK(BM_ScanManySignatures)->Arg(10)->Arg(100)->Arg(1000);
-
 void BM_ScanManySignaturesBruteForce(benchmark::State& state) {
   const std::string text = packed_nuclear_sample(1);
-  match::Scanner scanner;
-  add_database_signatures(scanner, static_cast<std::size_t>(state.range(0)),
-                          text);
+  const engine::Database db = engine::Database::compile(
+      database_specs(static_cast<std::size_t>(state.range(0)), text));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scanner.scan_brute_force(text));
+    for (const engine::Database::Entry& e : db.entries()) {
+      benchmark::DoNotOptimize(e.pattern.search(text));
+    }
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
@@ -466,23 +455,12 @@ BENCHMARK(BM_ScanManySignaturesBruteForce)->Arg(10)->Arg(100)->Arg(1000);
 // The unified engine's steady-state path in isolation: one compiled
 // Database, one warm Scratch recycled across iterations (zero heap
 // allocation per scan, asserted in tests/engine_test.cpp), event-driven
-// all-matches delivery. Directly comparable to BM_ScanManySignatures —
-// Scanner::scan routes through this plus a result-vector allocation.
+// all-matches delivery. Directly comparable to
+// BM_ScanManySignaturesBruteForce over the same signatures.
 void BM_EngineScanManySignatures(benchmark::State& state) {
   const std::string text = packed_nuclear_sample(1);
-  match::Scanner scanner;
-  add_database_signatures(scanner, static_cast<std::size_t>(state.range(0)),
-                          text);
-  std::vector<engine::Database::Entry> entries;
-  match::LiteralPrefilter pf;
-  for (std::size_t i = 0; i < scanner.size(); ++i) {
-    entries.push_back(
-        engine::Database::Entry{scanner.name(i), "", scanner.pattern(i)});
-    pf.add(i, scanner.pattern(i).required_literal());
-  }
-  pf.build();
-  const engine::Database db =
-      engine::Database::from_entries(std::move(entries), std::move(pf));
+  const engine::Database db = engine::Database::compile(
+      database_specs(static_cast<std::size_t>(state.range(0)), text));
   engine::Scratch scratch;
   std::size_t events = 0;
   for (auto _ : state) {
@@ -513,21 +491,22 @@ void BM_EngineScanManySignatures(benchmark::State& state) {
 BENCHMARK(BM_EngineScanManySignatures)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_ScanBatchParallel(benchmark::State& state) {
-  // Batch fan-out across the thread pool (the CdnFilter shape): 64 packed
-  // samples against a 100-signature database.
+  // The product's batch fan-out: CdnFilter::filter normalizes and scans 64
+  // packed samples against a 100-signature database across its pool of
+  // range(0) threads (0 = hardware concurrency).
   std::vector<std::string> batch;
   for (int i = 0; i < 64; ++i) batch.push_back(packed_nuclear_sample(100 + i));
-  match::Scanner scanner;
-  add_database_signatures(scanner, 100, batch[0]);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  const engine::Database db =
+      engine::Database::compile(database_specs(100, batch[0]));
+  const core::CdnFilter filter(&db, static_cast<std::size_t>(state.range(0)));
   std::int64_t bytes = 0;
   for (const auto& s : batch) bytes += static_cast<std::int64_t>(s.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scanner.scan_batch(batch, pool));
+    benchmark::DoNotOptimize(filter.filter(batch));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes);
 }
-BENCHMARK(BM_ScanBatchParallel)->Arg(1)->Arg(4)->Arg(0);
+BENCHMARK(BM_ScanBatchParallel)->Arg(1)->Arg(4)->Arg(0)->UseRealTime();
 
 // --------------------------- streaming scan ---------------------------
 
@@ -535,8 +514,8 @@ BENCHMARK(BM_ScanBatchParallel)->Arg(1)->Arg(4)->Arg(0);
 // DesktopScanner block reads): the first stage streams over fixed size
 // chunks with carried state, then only candidates run the VM.
 // BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot is the cost of the
-// chunked cursor relative to one contiguous candidates() pass over the
-// same 100-signature bundle.
+// chunked cursor relative to one contiguous first-match scan over the
+// same 100-signature database.
 std::vector<core::DeployedSignature> streaming_signatures(std::size_t count) {
   Rng rng(15);
   std::vector<std::string> donors;
@@ -561,16 +540,17 @@ std::vector<core::DeployedSignature> streaming_signatures(std::size_t count) {
 }
 
 void BM_StreamingScan(benchmark::State& state) {
-  const auto bundle =
-      std::make_unique<core::SignatureBundle>(streaming_signatures(100));
+  const engine::Database db =
+      engine::Database::compile(streaming_signatures(100));
   const std::string text = text::normalize_raw(packed_nuclear_sample(1));
   const std::size_t chunk = static_cast<std::size_t>(state.range(0));
+  engine::Scratch scratch;
   for (auto _ : state) {
-    auto stream = bundle->begin_stream();
+    engine::Stream stream = engine::open_stream(db, scratch);
     for (std::size_t at = 0; at < text.size(); at += chunk) {
       stream.feed(std::string_view(text).substr(at, chunk));
     }
-    benchmark::DoNotOptimize(stream.finish());
+    benchmark::DoNotOptimize(stream.finish_first());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
@@ -578,24 +558,25 @@ void BM_StreamingScan(benchmark::State& state) {
 BENCHMARK(BM_StreamingScan)->Arg(512)->Arg(4096)->Arg(65536);
 
 void BM_StreamingScanOneShot(benchmark::State& state) {
-  const auto bundle =
-      std::make_unique<core::SignatureBundle>(streaming_signatures(100));
+  const engine::Database db =
+      engine::Database::compile(streaming_signatures(100));
   const std::string text = text::normalize_raw(packed_nuclear_sample(1));
+  engine::Scratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bundle->match(text));
+    benchmark::DoNotOptimize(engine::first_match(db, text, scratch));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_StreamingScanOneShot);
 
-// Deployment-process cold start: compile the bundle from in-memory
+// Deployment-process cold start: compile the database from in-memory
 // signatures vs load it from its `.kpf` artifact. The artifact carries
 // only signatures, so the rows differ by the parse and the seal check.
 void BM_BundleColdStartBuild(benchmark::State& state) {
   const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(std::make_unique<core::SignatureBundle>(sigs));
+    benchmark::DoNotOptimize(engine::Database::compile(sigs));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
@@ -609,7 +590,8 @@ void BM_BundleColdStartLoad(benchmark::State& state) {
   const std::string artifact = blob.str();
   for (auto _ : state) {
     std::istringstream is(artifact);
-    benchmark::DoNotOptimize(std::make_unique<core::SignatureBundle>(is));
+    std::vector<core::DeployedSignature> loaded;
+    benchmark::DoNotOptimize(engine::Database::from_artifact(is, &loaded));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));

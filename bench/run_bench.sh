@@ -14,10 +14,9 @@
 #   BENCH_scan.json     single-stream scan throughput: the Teddy SIMD
 #                       literal first stage in isolation
 #                       (BM_TeddyPrefilter, BM_TeddyPrefilterShortLiterals)
-#                       and end to end through the engine
-#                       (BM_EngineScanManySignatures), plus
-#                       BM_ScanManySignatures for the whole-database
-#                       trajectory; also the release-motion rows gated by
+#                       and the whole-database scan end to end through the
+#                       engine (BM_EngineScanManySignatures, the trajectory
+#                       row); also the release-motion rows gated by
 #                       --compare: artifact cold start
 #                       (BM_BundleColdStartLoad) and KZDELTA incremental
 #                       apply vs full artifact reload at serving scale
@@ -49,7 +48,7 @@
 # Exits 1 on any regression, 2 when the files share no rows.
 set -euo pipefail
 
-SCAN_FILTER='BM_TeddyPrefilter|BM_ScanManySignatures/|BM_EngineScanManySignatures|BM_BundleColdStartLoad|BM_Deploy'
+SCAN_FILTER='BM_TeddyPrefilter|BM_EngineScanManySignatures|BM_BundleColdStartLoad|BM_Deploy'
 # Every JSON records the CPUs this process may run on (google-benchmark's
 # own num_cpus counts the host's), so scaling rows read against the right
 # core count.

@@ -9,32 +9,23 @@ void ManualAvEngine::schedule(AvRelease release) {
   if (release.literal.empty()) {
     throw std::invalid_argument("ManualAvEngine: empty signature literal");
   }
+  db_ = db_.extend(engine::Database::Entry{
+      release.name, std::string(kitgen::family_name(release.family)),
+      match::Pattern::compile(match::Pattern::escape(release.literal))});
   releases_.push_back(std::move(release));
-  database_.invalidate();
 }
 
 std::optional<AvRelease> ManualAvEngine::match(
     int day, std::string_view normalized) const {
-  // Each literal release compiles to an escaped-literal pattern in the
-  // shared engine database. Events arrive in ascending insertion order,
-  // matching the brute-force first-match semantics; the release-day gate
-  // runs as the pre-confirmation candidate filter, so signatures not yet
-  // deployed on `day` never even reach confirmation.
-  if (releases_.empty()) return std::nullopt;
-  const engine::Database& db = database_.ensure([this] {
-    std::vector<engine::Database::Spec> specs;
-    specs.reserve(releases_.size());
-    for (const AvRelease& r : releases_) {
-      specs.push_back(engine::Database::Spec{
-          r.name, std::string(kitgen::family_name(r.family)),
-          match::Pattern::escape(r.literal)});
-    }
-    return engine::Database::compile(specs);
-  });
+  // Each literal release is an escaped-literal pattern in the engine
+  // database. Events arrive in ascending insertion order, matching the
+  // brute-force first-match semantics; the release-day gate runs as the
+  // pre-confirmation candidate filter, so signatures not yet deployed on
+  // `day` never even reach confirmation.
   auto scratch = scratches_.acquire();
   std::optional<std::size_t> hit;
   engine::scan(
-      db, normalized, *scratch,
+      db_, normalized, *scratch,
       [this, day](std::size_t i) { return releases_[i].day <= day; },
       [&hit](const engine::MatchEvent& event) {
         hit = event.sig_index;

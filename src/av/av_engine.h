@@ -10,13 +10,14 @@
 // remove.
 //
 // Like every other matching surface, the release set is deployed through
-// the unified scan engine (engine/engine.h): each literal compiles into an
-// engine::Database entry, so match() is one Aho–Corasick prefilter pass
-// plus candidate confirmation, with the release-day gate applied as the
-// engine's pre-confirmation candidate filter. The database is rebuilt
-// lazily on first match() after a schedule() (so bulk loading stays
-// linear); concurrent match() calls are safe once the release set is
-// loaded (per-worker scratches come from a pool).
+// the unified scan engine (engine/engine.h): schedule() appends each
+// literal to an engine::Database with Database::extend (the same path
+// KizzlePipeline releases take), so match() is one literal first-stage
+// pass plus candidate confirmation, with the release-day gate applied as
+// the engine's pre-confirmation candidate filter. schedule() is not safe
+// to call concurrently with anything; once the release set is loaded,
+// concurrent match() calls are safe (per-worker scratches come from a
+// pool).
 #pragma once
 
 #include <optional>
@@ -55,7 +56,7 @@ class ManualAvEngine {
 
  private:
   std::vector<AvRelease> releases_;
-  engine::LazyDatabase database_;
+  engine::Database db_;  // entry i is releases_[i]
   mutable engine::ScratchPool scratches_;
 };
 

@@ -5,64 +5,12 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/sigdb.h"
 #include "support/hash.h"
 #include "support/thread_pool.h"
 #include "text/html.h"
 #include "text/normalize.h"
 
 namespace kizzle::core {
-
-SignatureBundle::SignatureBundle(
-    const std::vector<DeployedSignature>& signatures)
-    : infos_(signatures), db_(engine::Database::compile(signatures)) {}
-
-SignatureBundle::SignatureBundle(std::istream& artifact)
-    : db_(engine::Database::from_artifact(artifact, &infos_)) {}
-
-std::optional<std::size_t> SignatureBundle::match(
-    std::string_view normalized) const {
-  // Events arrive in ascending index order, so the first event IS the
-  // first matching signature — the engine stops there.
-  auto scratch = scratches_.acquire();
-  const auto hit = engine::first_match(db_, normalized, *scratch);
-  if (!hit) return std::nullopt;
-  return hit->sig_index;
-}
-
-std::optional<std::size_t> SignatureBundle::match_among(
-    std::span<const std::size_t> candidates,
-    std::string_view normalized) const {
-  auto scratch = scratches_.acquire();
-  std::optional<std::size_t> hit;
-  engine::confirm(db_, candidates, normalized, *scratch,
-                  [&hit](const engine::MatchEvent& event) {
-                    hit = event.sig_index;
-                    return engine::ScanDecision::Stop;
-                  });
-  return hit;
-}
-
-SignatureBundle::StreamMatch::StreamMatch(const SignatureBundle* bundle)
-    : scratch_(bundle->scratches_.acquire()),
-      stream_(engine::open_stream(bundle->db_, *scratch_)) {}
-
-void SignatureBundle::StreamMatch::feed(std::string_view normalized_chunk) {
-  stream_.feed(normalized_chunk);
-}
-
-std::optional<std::size_t> SignatureBundle::StreamMatch::finish() const {
-  const auto hit = stream_.finish_first();
-  if (!hit) return std::nullopt;
-  return hit->sig_index;
-}
-
-const DeployedSignature& SignatureBundle::info(std::size_t index) const {
-  if (index >= infos_.size()) {
-    throw std::out_of_range("SignatureBundle::info: bad index");
-  }
-  return infos_[index];
-}
 
 namespace {
 
@@ -93,14 +41,14 @@ Verdict degrade(Verdict v, engine::ScanStatus status, DegradePolicy policy) {
 
 // One-shot first-match scan of `normalized` on a pooled scratch, governed
 // by the channel's limits and policy.
-Verdict verdict_of(const SignatureBundle& bundle, engine::ScratchPool& pool,
+Verdict verdict_of(const engine::Database& db, engine::ScratchPool& pool,
                    std::string_view normalized,
                    const engine::ScanLimits& limits, DegradePolicy policy) {
   auto scratch = pool.acquire();
   scratch->set_limits(limits);
   std::optional<engine::MatchEvent> hit;
   const engine::ScanOutcome outcome = engine::scan(
-      bundle.database(), normalized, *scratch,
+      db, normalized, *scratch,
       [&hit](const engine::MatchEvent& event) {
         hit = event;
         return engine::ScanDecision::Stop;
@@ -146,15 +94,15 @@ std::uint64_t second_fingerprint(std::string_view s) {
 
 // ------------------------------- browser -------------------------------
 
-BrowserGate::BrowserGate(const SignatureBundle* bundle,
+BrowserGate::BrowserGate(const engine::Database* db,
                          std::size_t cache_capacity, HashFn hash)
-    : bundle_(bundle),
+    : db_(db),
       capacity_(cache_capacity),
       hash_(hash != nullptr ? hash
                             : static_cast<HashFn>(
                                   [](std::string_view s) { return fnv1a64(s); })) {
-  if (bundle_ == nullptr) {
-    throw std::invalid_argument("BrowserGate: null bundle");
+  if (db_ == nullptr) {
+    throw std::invalid_argument("BrowserGate: null database");
   }
   if (capacity_ == 0) capacity_ = 1;
 }
@@ -211,7 +159,7 @@ Verdict BrowserGate::check_script(std::string_view script_source) {
     return *cached;
   }
   // Scan outside the lock: memoization must not serialize the scans.
-  const Verdict v = verdict_of(*bundle_, scratches_,
+  const Verdict v = verdict_of(*db_, scratches_,
                                text::normalize_js(script_source), limits_,
                                policy_);
   // A degraded verdict reflects this scan's resource weather, not the
@@ -223,7 +171,7 @@ Verdict BrowserGate::check_script(std::string_view script_source) {
 BrowserGate::ScriptStream::ScriptStream(BrowserGate* gate)
     : gate_(gate),
       scratch_(gate->scratches_.acquire()),
-      stream_(open_governed(gate->bundle_->database(), *scratch_,
+      stream_(open_governed(*gate->db_, *scratch_,
                             gate->limits_)) {}
 
 void BrowserGate::ScriptStream::feed(std::string_view chunk) {
@@ -263,7 +211,7 @@ Verdict BrowserGate::finish_stream(ScriptStream& stream) {
     // (A truncated stream also lands here — the dropped raw bytes make
     // the texts differ — so truncation still yields a full governed scan
     // of the token-normalized source rather than a half-scanned stream.)
-    v = verdict_of(*bundle_, scratches_, normalized, limits_, policy_);
+    v = verdict_of(*db_, scratches_, normalized, limits_, policy_);
   }
   if (!v.degraded) cache_store(key, stream.raw_.size(), fp2, v);
   return v;
@@ -286,10 +234,9 @@ std::uint64_t BrowserGate::cache_collisions() const {
 
 // ------------------------------- desktop -------------------------------
 
-DesktopScanner::DesktopScanner(const SignatureBundle* bundle)
-    : bundle_(bundle) {
-  if (bundle_ == nullptr) {
-    throw std::invalid_argument("DesktopScanner: null bundle");
+DesktopScanner::DesktopScanner(const engine::Database* db) : db_(db) {
+  if (db_ == nullptr) {
+    throw std::invalid_argument("DesktopScanner: null database");
   }
 }
 
@@ -298,14 +245,14 @@ Verdict DesktopScanner::scan_file(std::string_view content) const {
   // raw AV normalization handles all of them, and signature construction
   // guarantees raw-normalized script content is matchable (see
   // text/normalize.h).
-  return verdict_of(*bundle_, scratches_, text::normalize_raw(content),
+  return verdict_of(*db_, scratches_, text::normalize_raw(content),
                     limits_, policy_);
 }
 
 DesktopScanner::FileStream::FileStream(const DesktopScanner* scanner)
     : scanner_(scanner),
       scratch_(scanner->scratches_.acquire()),
-      stream_(open_governed(scanner->bundle_->database(), *scratch_,
+      stream_(open_governed(*scanner->db_, *scratch_,
                             scanner->limits_)) {}
 
 void DesktopScanner::FileStream::feed(std::string_view raw_chunk) {
@@ -334,10 +281,10 @@ Verdict DesktopScanner::scan_stream(std::istream& in,
 
 // --------------------------------- CDN ---------------------------------
 
-CdnFilter::CdnFilter(const SignatureBundle* bundle, std::size_t threads)
-    : bundle_(bundle), threads_(threads) {
-  if (bundle_ == nullptr) {
-    throw std::invalid_argument("CdnFilter: null bundle");
+CdnFilter::CdnFilter(const engine::Database* db, std::size_t threads)
+    : db_(db), threads_(threads) {
+  if (db_ == nullptr) {
+    throw std::invalid_argument("CdnFilter: null database");
   }
 }
 
@@ -366,7 +313,7 @@ CdnFilter::Report CdnFilter::filter(
     for (std::size_t i = begin; i < end; ++i) {
       std::optional<engine::MatchEvent> hit;
       const engine::ScanOutcome outcome = engine::scan(
-          bundle_->database(), text::normalize_raw(candidates[i]), *scratch,
+          *db_, text::normalize_raw(candidates[i]), *scratch,
           [&hit](const engine::MatchEvent& event) {
             hit = event;
             return engine::ScanDecision::Stop;
@@ -393,7 +340,7 @@ CdnFilter::Report CdnFilter::filter(
     if (verdicts[i]) {
       // A match decides the candidate regardless of scan status.
       report.rejected.push_back(i);
-      ++hits[bundle_->info(*verdicts[i]).name];
+      ++hits[db_->name(*verdicts[i])];
     } else if (statuses[i] != engine::ScanStatus::kComplete) {
       // Incomplete scan, no match: placement is the degrade policy's
       // call, recorded so the administrator can re-queue these.

@@ -6,16 +6,18 @@
 //  to the file system ...; lastly, server-side, for instance, a CDN
 //  administrator may decide which JavaScript files to host."
 //
-// All three channels consume one compiled signature set through the
-// unified scan engine (engine/engine.h): SignatureBundle is a thin façade
-// over an immutable engine::Database (compiled patterns + the shared
-// Aho–Corasick prefilter, built once at signature-release time and shipped
-// as a `.kpf` artifact, core/sigdb.h), and every channel scans with
-// per-worker engine::Scratch instances drawn from a pool — the steady-state
-// scan path allocates nothing. Matching is event-driven: the engine
-// delivers MatchEvents and the channels stop at the first one, which is
-// also where the Verdict's signature index and match span come from. The
-// channels differ only in what they scan and in their latency budget:
+// All three channels consume one compiled signature set, an immutable
+// engine::Database (engine/engine.h) the caller owns: built with
+// Database::compile at signature-release time, or loaded from a `.kpf`
+// artifact (core/sigdb.h) with Database::from_artifact, which re-derives
+// the literal first stage (Teddy plans plus an automaton over dense shards
+// only) at load. The channels are policy layers over that one scan call:
+// each scans on its caller's thread with per-worker engine::Scratch
+// instances drawn from a pool, so the steady-state scan path allocates
+// nothing. Matching is event-driven: the engine delivers MatchEvents and
+// the channels stop at the first one, which is also where the Verdict's
+// signature index and match span come from. The channels differ only in
+// what they scan and in their latency budget:
 //
 //   BrowserGate   per-script admission at execution time. Pages re-serve
 //                 the same scripts constantly, so verdicts are memoized on
@@ -51,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/pipeline.h"
 #include "engine/engine.h"
 
 namespace kizzle {
@@ -59,64 +60,6 @@ class ThreadPool;
 }
 
 namespace kizzle::core {
-
-// A read-only view over a pipeline's deployed signatures, compiled once.
-// All deployment adapters share one SignatureBundle; it owns the
-// engine::Database they scan against (database()) plus the deployment
-// metadata (info()). The bundle's own match()/match_among()/begin_stream()
-// survive as a first-match convenience façade delegating to the engine.
-// Immutable after construction, so concurrent match() calls are safe.
-class SignatureBundle {
- public:
-  explicit SignatureBundle(const std::vector<DeployedSignature>& signatures);
-
-  // Loads and compiles a `.kpf` bundle artifact (core/sigdb.h). Throws
-  // the loader's kizzle::Error taxonomy on malformed input.
-  explicit SignatureBundle(std::istream& artifact);
-
-  // The compiled engine database: scan it with engine::scan /
-  // engine::open_stream and a Scratch of your own.
-  const engine::Database& database() const { return db_; }
-
-  // Index of the first matching signature, or nullopt.
-  std::optional<std::size_t> match(std::string_view normalized) const;
-
-  // Confirms an ascending candidate list (as produced by the prefilter or
-  // an engine stream over it) against `normalized`, first match wins.
-  std::optional<std::size_t> match_among(
-      std::span<const std::size_t> candidates,
-      std::string_view normalized) const;
-
-  // Resumable first-match scan over normalized text that arrives in
-  // chunks; a façade over engine::open_stream. Result is identical to
-  // match() on the concatenation.
-  class StreamMatch {
-   public:
-    void feed(std::string_view normalized_chunk);
-    std::optional<std::size_t> finish() const;
-    const std::string& normalized() const { return stream_.text(); }
-
-   private:
-    friend class SignatureBundle;
-    explicit StreamMatch(const SignatureBundle* bundle);
-    // A pooled scratch handle: the scratch arrives warm, lives on the heap
-    // (so the engine stream's borrowed pointer survives moves of the
-    // StreamMatch itself) and returns to the bundle's pool on destruction.
-    engine::ScratchPool::Handle scratch_;
-    engine::Stream stream_;
-  };
-  StreamMatch begin_stream() const { return StreamMatch(this); }
-
-  const match::LiteralPrefilter& prefilter() const { return db_.prefilter(); }
-
-  const DeployedSignature& info(std::size_t index) const;
-  std::size_t size() const { return infos_.size(); }
-
- private:
-  std::vector<DeployedSignature> infos_;
-  engine::Database db_;
-  mutable engine::ScratchPool scratches_;
-};
 
 // What a channel answers when a scan hits its resource envelope
 // (engine::ScanLimits) without having found a match: admit the content
@@ -142,7 +85,7 @@ struct Verdict {
   std::string signature;  // name of the matching signature when malicious
   std::string family;
   // Populated from the engine's MatchEvent when malicious: the index of
-  // the matching signature in the bundle and the match span in the
+  // the matching signature in the database and the match span in the
   // normalized scan text — callers no longer re-derive them by name. All
   // three are npos on a clean verdict.
   std::size_t signature_index = npos;
@@ -164,7 +107,8 @@ class BrowserGate {
   // fnv1a64; tests inject deliberately weak hashes to force collisions.
   using HashFn = std::uint64_t (*)(std::string_view);
 
-  BrowserGate(const SignatureBundle* bundle, std::size_t cache_capacity = 512,
+  // `db` must outlive the gate; null throws std::invalid_argument.
+  BrowserGate(const engine::Database* db, std::size_t cache_capacity = 512,
               HashFn hash = nullptr);
 
   // Admission check for one inline script about to execute. Verdicts are
@@ -230,7 +174,7 @@ class BrowserGate {
                    const Verdict& verdict);
   Verdict finish_stream(ScriptStream& stream);
 
-  const SignatureBundle* bundle_;
+  const engine::Database* db_;
   std::size_t capacity_;
   HashFn hash_;
   engine::ScanLimits limits_;
@@ -251,7 +195,8 @@ class BrowserGate {
 
 class DesktopScanner {
  public:
-  explicit DesktopScanner(const SignatureBundle* bundle);
+  // `db` must outlive the scanner; null throws std::invalid_argument.
+  explicit DesktopScanner(const engine::Database* db);
 
   // Scans one file's content (any type: cached HTML, bare .js, fragments —
   // raw AV normalization handles all of them).
@@ -288,7 +233,7 @@ class DesktopScanner {
   DegradePolicy degrade_policy() const { return policy_; }
 
  private:
-  const SignatureBundle* bundle_;
+  const engine::Database* db_;
   engine::ScanLimits limits_;
   DegradePolicy policy_ = DegradePolicy::kFailClosed;
   mutable engine::ScratchPool scratches_;
@@ -300,8 +245,9 @@ class CdnFilter {
  public:
   // `threads` sizes the scan pool owned by the filter (created lazily on
   // the first batch that fans out, reused across filter() calls); 0 =
-  // hardware concurrency.
-  explicit CdnFilter(const SignatureBundle* bundle, std::size_t threads = 0);
+  // hardware concurrency. `db` must outlive the filter; null throws
+  // std::invalid_argument.
+  explicit CdnFilter(const engine::Database* db, std::size_t threads = 0);
   ~CdnFilter();
 
   struct Report {
@@ -334,7 +280,7 @@ class CdnFilter {
   DegradePolicy degrade_policy() const { return policy_; }
 
  private:
-  const SignatureBundle* bundle_;
+  const engine::Database* db_;
   engine::ScanLimits limits_;
   DegradePolicy policy_ = DegradePolicy::kFailClosed;
   std::size_t threads_;

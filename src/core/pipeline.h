@@ -160,8 +160,8 @@ class KizzlePipeline {
   const engine::Database& database() const { return db_; }
 
   // Persists the deployed signature set as a `.kpf` bundle artifact
-  // (core/sigdb.h); the deployment channels compile it at load
-  // (SignatureBundle's istream constructor).
+  // (core/sigdb.h); a deployment process compiles it at load
+  // (engine::Database::from_artifact).
   void export_artifact(std::ostream& os) const;
 
   // Persists the *increment* since `base_day` as a `KZDELTA` delta

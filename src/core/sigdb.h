@@ -99,8 +99,8 @@ void save_signatures(std::ostream& os,
 // compile) with line number and byte offset in the message, and
 // kizzle::ResourceError past the caps above. `validate_patterns` = false
 // skips the trial compilation of every pattern — for callers that compile
-// the set themselves right after (SignatureBundle's artifact constructor)
-// and would otherwise pay it twice.
+// the set themselves right after (engine::Database::from_artifact) and
+// would otherwise pay it twice.
 std::vector<DeployedSignature> load_signatures(const std::string& content);
 std::vector<DeployedSignature> load_signatures(std::istream& is,
                                                bool validate_patterns = true);

@@ -223,8 +223,8 @@ constexpr std::size_t kDeadlinePollMask = 15;
 // (Pattern::confirm_span): find() for pure literals, the compiled confirm
 // program for literal-dominated signatures, the backtracking VM only for
 // regex-shaped ones whose necessary factors are all present — and their
-// budget overruns are counted and skipped, exactly like the pre-engine
-// Scanner/SignatureBundle paths (the compiled tiers cannot overrun). Tier
+// budget overruns are counted and skipped, exactly like a per-signature
+// Pattern::search (the compiled tiers cannot overrun). Tier
 // counts land in scratch.stats_. The scratch's ScanLimits govern the loop:
 // vm_step_budget tightens each VM confirmation, and the deadline gate is
 // polled every few candidates — expiry abandons the remaining candidates

@@ -24,10 +24,10 @@
 //   scan()/confirm()   event-driven matching: every matching signature is
 //                      delivered as a MatchEvent (index, span, name,
 //                      family) to a callback that returns Continue or
-//                      Stop. First-match consumers (deployment channels)
-//                      and all-matches consumers (Scanner, the CLI, the
-//                      experiments) are the same code path — they differ
-//                      only in what the callback returns.
+//                      Stop. First-match consumers (deployment channels,
+//                      the AV baseline) and all-matches consumers (the
+//                      CLI, the experiments) are the same code path — they
+//                      differ only in what the callback returns.
 //   open_stream()      resumable scanning for text that arrives in chunks:
 //                      the prefilter's first stage streams over each piece
 //                      (state carried across boundaries), finish() confirms
@@ -83,7 +83,6 @@
 // outcomes into per-channel fail-open/fail-closed policy (core/deploy.h).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -481,37 +480,6 @@ class ScratchPool {
 
   std::mutex mu_;
   std::vector<std::unique_ptr<Scratch>> free_;
-};
-
-// --------------------------- lazy database -----------------------------
-
-// Invalidation-aware holder for a Database owned by a mutable signature
-// container (match::Scanner, av::ManualAvEngine): the owner calls
-// invalidate() whenever its set changes and ensure() from const read
-// paths. Double-checked locking keeps the fast path to one acquire load;
-// concurrent readers are safe once built.
-class LazyDatabase {
- public:
-  void invalidate() { ready_.store(false, std::memory_order_release); }
-
-  // Returns the up-to-date database, rebuilding it first if stale:
-  // `build()` must return the freshly compiled Database.
-  template <typename BuildFn>
-  const Database& ensure(BuildFn&& build) const {
-    if (!ready_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!ready_.load(std::memory_order_relaxed)) {
-        db_ = build();
-        ready_.store(true, std::memory_order_release);
-      }
-    }
-    return db_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::atomic<bool> ready_{false};
-  mutable Database db_;
 };
 
 }  // namespace kizzle::engine

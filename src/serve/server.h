@@ -17,8 +17,8 @@
 // (support/mpmc_queue.h). Dequeue is *batched*: a worker takes up to
 // `batch_max` jobs in one critical section and resolves the current
 // database epoch once per batch, so per-request dispatch overhead
-// (queue lock, epoch load) is amortized across the batch exactly like
-// Scanner::scan_batch amortizes scan setup.
+// (queue lock, epoch load) is amortized across the batch, the way
+// CdnFilter::filter takes one pooled scratch per range of candidates.
 //
 // Two request shapes ride the same queue:
 //

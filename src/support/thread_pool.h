@@ -1,8 +1,9 @@
 // A small fixed-size thread pool with a parallel-for helper.
 //
 // Used by the partitioned clustering pipeline to simulate the paper's
-// 50-machine map step on a single host, and by the batch scan paths
-// (Scanner::scan_batch, CdnFilter). Tasks must not throw across the pool
+// 50-machine map step on a single host, by the daily compile's fan-out
+// (KizzlePipeline::process_day) and by the CDN channel's batch scan
+// (CdnFilter::filter). Tasks must not throw across the pool
 // boundary; exceptions are captured and rethrown to the caller.
 //
 // parallel_for/parallel_ranges carry a per-call completion latch: each

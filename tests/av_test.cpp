@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "av/analyst.h"
 #include "av/av_engine.h"
 #include "kitgen/stream.h"
@@ -136,6 +143,56 @@ TEST(Analyst, AnglerWindowOfVulnerability) {
   EXPECT_LT(fn_before, 0.15);
   EXPECT_GT(fn_during, 0.35);  // the window: ~55% of samples on the new version
   EXPECT_LT(fn_after, 0.15);   // closed by the 8/19 release
+}
+
+// av_engine.h promises that concurrent match() calls are safe once the
+// releases are loaded. Four threads over the full month's release set must
+// answer exactly as a sequential pass (run under ThreadSanitizer in CI).
+TEST(AvEngine, ConcurrentMatchEqualsSequentialPass) {
+  kitgen::StreamConfig cfg;
+  cfg.volume_scale = 0.1;
+  kitgen::StreamSimulator sim(cfg);
+  ManualAvEngine engine;
+  Analyst analyst;
+  analyst.install_initial_signatures(sim, engine);
+  std::vector<std::string> docs;
+  for (int day = kitgen::kAug1; day <= kitgen::day_from_date(8, 31); ++day) {
+    const auto batch = sim.generate_day(day);
+    analyst.observe_day(day, sim, engine);
+    if (day != kitgen::kAug1) continue;
+    for (const auto& s : batch.samples) {
+      docs.push_back(text::normalize_raw(s.html));
+    }
+  }
+  ASSERT_GE(engine.releases().size(), 15u);
+  ASSERT_FALSE(docs.empty());
+
+  // Each document as of three days: before, inside and after the Fig 6
+  // window, so the release-day gate admits different subsets.
+  const std::vector<int> days = {kitgen::kAug1, kitgen::day_from_date(8, 15),
+                                 kitgen::day_from_date(8, 31)};
+  using Answers = std::vector<std::optional<std::string>>;
+  const auto answer_all = [&] {
+    Answers out;
+    for (const int day : days) {
+      for (const std::string& doc : docs) {
+        const auto hit = engine.match(day, doc);
+        out.push_back(hit ? std::optional<std::string>(hit->name)
+                          : std::nullopt);
+      }
+    }
+    return out;
+  };
+  const Answers sequential = answer_all();
+  ASSERT_NE(std::count(sequential.begin(), sequential.end(), std::nullopt),
+            static_cast<std::ptrdiff_t>(sequential.size()));
+  std::vector<Answers> concurrent(4);
+  std::vector<std::thread> threads;
+  for (Answers& answers : concurrent) {
+    threads.emplace_back([&answer_all, &answers] { answers = answer_all(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Answers& answers : concurrent) EXPECT_EQ(answers, sequential);
 }
 
 }  // namespace

@@ -2,22 +2,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "core/deploy.h"
-#include "match/pattern.h"
+#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "kitgen/families.h"
 #include "kitgen/kit.h"
 #include "kitgen/packers.h"
 #include "kitgen/payload.h"
+#include "match/pattern.h"
+#include "sig/compiler.h"
 #include "support/rng.h"
+#include "testing/mixed_corpus.h"
 #include "text/normalize.h"
 
 namespace kizzle::core {
 namespace {
 
-// A bundle with one real signature, compiled from a small RIG cluster.
+// A database with one real signature, compiled from a small RIG cluster.
 class DeployFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,8 +47,7 @@ class DeployFixture : public ::testing::Test {
     dep.name = "KZ.RIG.1";
     dep.family = "RIG";
     dep.pattern = sig.pattern;
-    bundle_ = std::make_unique<SignatureBundle>(
-        std::vector<DeployedSignature>{dep});
+    db_ = engine::Database::compile(std::vector<DeployedSignature>{dep});
   }
 
   std::string fresh_packed() {
@@ -53,17 +57,18 @@ class DeployFixture : public ::testing::Test {
 
   std::string payload_;
   std::vector<std::string> packed_;
-  std::unique_ptr<SignatureBundle> bundle_;
+  engine::Database db_;
 };
 
-TEST_F(DeployFixture, BundleMatchesItsSamples) {
-  EXPECT_TRUE(bundle_->match(text::normalize_raw(packed_[0])).has_value());
-  EXPECT_FALSE(bundle_->match("nothing to see").has_value());
-  EXPECT_THROW(bundle_->info(5), std::out_of_range);
+TEST_F(DeployFixture, DatabaseMatchesItsSamples) {
+  engine::Scratch scratch;
+  EXPECT_TRUE(engine::first_match(db_, text::normalize_raw(packed_[0]), scratch)
+                  .has_value());
+  EXPECT_FALSE(engine::first_match(db_, "nothing to see", scratch).has_value());
 }
 
 TEST_F(DeployFixture, BrowserGateBlocksAndCaches) {
-  BrowserGate gate(bundle_.get(), 8);
+  BrowserGate gate(&db_, 8);
   const std::string script = fresh_packed();
 
   const Verdict first = gate.check_script(script);
@@ -83,7 +88,7 @@ TEST_F(DeployFixture, BrowserGateBlocksAndCaches) {
 }
 
 TEST_F(DeployFixture, BrowserGateEvictsLru) {
-  BrowserGate gate(bundle_.get(), 2);
+  BrowserGate gate(&db_, 2);
   gate.check_script("var a=1;");
   gate.check_script("var b=2;");
   gate.check_script("var c=3;");  // evicts "var a=1;"
@@ -92,12 +97,14 @@ TEST_F(DeployFixture, BrowserGateEvictsLru) {
   EXPECT_EQ(gate.cache_hits(), 0u);
 }
 
-TEST_F(DeployFixture, BrowserGateNullBundleThrows) {
+TEST_F(DeployFixture, ChannelsRejectNullDatabase) {
   EXPECT_THROW(BrowserGate(nullptr), std::invalid_argument);
+  EXPECT_THROW(DesktopScanner(nullptr), std::invalid_argument);
+  EXPECT_THROW(CdnFilter(nullptr), std::invalid_argument);
 }
 
 TEST_F(DeployFixture, DesktopScannerScansWholeFiles) {
-  DesktopScanner scanner(bundle_.get());
+  DesktopScanner scanner(&db_);
   Rng rng(3);
   // A cached HTML document containing the packed kit.
   const std::string cached_page =
@@ -109,7 +116,7 @@ TEST_F(DeployFixture, DesktopScannerScansWholeFiles) {
 }
 
 TEST_F(DeployFixture, CdnFilterPartitionsCandidates) {
-  CdnFilter filter(bundle_.get());
+  CdnFilter filter(&db_);
   std::vector<std::string> candidates = {
       "function lib(){return 42}",
       fresh_packed(),
@@ -130,20 +137,19 @@ TEST_F(DeployFixture, CdnFilterPartitionsCandidates) {
 
 TEST_F(DeployFixture, VerdictCarriesSignatureIndexAndSpan) {
   // The engine's MatchEvent flows through to the Verdict: channel callers
-  // get the matching signature's bundle index and the match span in the
+  // get the matching signature's database index and the match span in the
   // normalized scan text without re-deriving them by name lookup.
-  DesktopScanner scanner(bundle_.get());
+  DesktopScanner scanner(&db_);
   const std::string content = fresh_packed();
   const Verdict v = scanner.scan_file(content);
   ASSERT_TRUE(v.malicious);
   EXPECT_EQ(v.signature_index, 0u);
-  EXPECT_EQ(bundle_->info(v.signature_index).name, v.signature);
+  EXPECT_EQ(db_.name(v.signature_index), v.signature);
   const std::string normalized = text::normalize_raw(content);
   EXPECT_LT(v.match_begin, v.match_end);
   EXPECT_LE(v.match_end, normalized.size());
   // The span really is where the pattern matched.
-  const auto direct =
-      match::Pattern::compile(bundle_->info(0).pattern).search(normalized);
+  const auto direct = db_.pattern(0).search(normalized);
   ASSERT_TRUE(direct.matched);
   EXPECT_EQ(v.match_begin, direct.begin);
   EXPECT_EQ(v.match_end, direct.end);
@@ -154,9 +160,9 @@ TEST_F(DeployFixture, VerdictCarriesSignatureIndexAndSpan) {
 
   // The streamed channels carry the same fields: a chunked admission and
   // the one-shot check agree on index and span.
-  BrowserGate oneshot(bundle_.get(), 8);
+  BrowserGate oneshot(&db_, 8);
   const Verdict checked = oneshot.check_script(content);
-  BrowserGate gate(bundle_.get(), 8);
+  BrowserGate gate(&db_, 8);
   auto stream = gate.begin_script();
   stream.feed(content);
   const Verdict streamed = stream.finish();
@@ -167,8 +173,45 @@ TEST_F(DeployFixture, VerdictCarriesSignatureIndexAndSpan) {
   EXPECT_EQ(streamed.match_end, checked.match_end);
 }
 
+// The pooled fan-out must not change a single placement: a multi-candidate
+// batch on four workers gives the rejected set and per-signature counts of
+// a sequential first-match scan over the same normalization.
+TEST(CdnFilterBatch, ParallelFilterEqualsSequentialFirstMatch) {
+  std::vector<std::string> candidates = testing::mixed_kitgen_samples();
+  const engine::Database db =
+      engine::Database::compile(testing::mixed_signature_specs(candidates));
+  candidates.push_back("function ok(){return 1}");
+  candidates.push_back("var widget = { init: function(){} };");
+  candidates.push_back("");
+
+  std::vector<std::size_t> rejected;
+  std::map<std::string, std::size_t> hits;
+  engine::Scratch scratch;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const auto hit = engine::first_match(
+        db, text::normalize_raw(candidates[i]), scratch);
+    if (!hit) continue;
+    rejected.push_back(i);
+    ++hits[db.name(hit->sig_index)];
+  }
+  ASSERT_FALSE(rejected.empty());
+  ASSERT_LT(rejected.size(), candidates.size());
+
+  const CdnFilter filter(&db, 4);
+  for (int round = 0; round < 3; ++round) {  // the pool is reused
+    const CdnFilter::Report report = filter.filter(candidates);
+    EXPECT_EQ(report.rejected, rejected);
+    EXPECT_EQ(report.hits_per_signature,
+              (std::vector<std::pair<std::string, std::size_t>>(hits.begin(),
+                                                                hits.end())));
+    EXPECT_EQ(report.hostable.size() + report.rejected.size(),
+              candidates.size());
+    EXPECT_TRUE(report.degraded.empty());
+  }
+}
+
 TEST_F(DeployFixture, CdnFilterEmptyInput) {
-  CdnFilter filter(bundle_.get());
+  CdnFilter filter(&db_);
   const auto report = filter.filter({});
   EXPECT_TRUE(report.hostable.empty());
   EXPECT_TRUE(report.rejected.empty());
@@ -182,7 +225,7 @@ TEST_F(DeployFixture, CdnFilterEmptyInput) {
 std::uint64_t colliding_hash(std::string_view) { return 0x1234; }
 
 TEST_F(DeployFixture, HashCollisionDoesNotPoisonTheVerdictCache) {
-  BrowserGate gate(bundle_.get(), 8, &colliding_hash);
+  BrowserGate gate(&db_, 8, &colliding_hash);
   const std::string malicious = fresh_packed();
   const std::string benign = "function ok(){return 1}";
 
@@ -204,7 +247,7 @@ TEST_F(DeployFixture, HashCollisionDoesNotPoisonTheVerdictCache) {
 }
 
 TEST_F(DeployFixture, CollisionGuardAlsoProtectsStreamedScripts) {
-  BrowserGate gate(bundle_.get(), 8, &colliding_hash);
+  BrowserGate gate(&db_, 8, &colliding_hash);
   const std::string malicious = fresh_packed();
   EXPECT_TRUE(gate.check_script(malicious).malicious);
   auto stream = gate.begin_script();
@@ -220,12 +263,12 @@ TEST_F(DeployFixture, StreamedScriptVerdictEqualsOneShotForAllChunkings) {
   const std::vector<std::string> scripts = {
       fresh_packed(), "function ok(){return 1}", "", "var a='fromCharCode';"};
   for (const std::string& script : scripts) {
-    BrowserGate oneshot(bundle_.get(), 8);
+    BrowserGate oneshot(&db_, 8);
     const Verdict expect = oneshot.check_script(script);
     for (const std::size_t chunk :
          std::vector<std::size_t>{1, 7, 4096,
                                   std::max<std::size_t>(script.size(), 1)}) {
-      BrowserGate gate(bundle_.get(), 8);
+      BrowserGate gate(&db_, 8);
       auto stream = gate.begin_script();
       for (std::size_t at = 0; at < script.size(); at += chunk) {
         stream.feed(std::string_view(script).substr(at, chunk));
@@ -243,9 +286,9 @@ TEST_F(DeployFixture, StreamedScriptWithCommentsMatchesOneShotNormalization) {
   // divergence and fall back to the one-shot scan text check_script uses.
   const std::string script =
       "// harmless comment\n" + fresh_packed() + "\n// trailing\n";
-  BrowserGate oneshot(bundle_.get(), 8);
+  BrowserGate oneshot(&db_, 8);
   const Verdict expect = oneshot.check_script(script);
-  BrowserGate gate(bundle_.get(), 8);
+  BrowserGate gate(&db_, 8);
   auto stream = gate.begin_script();
   for (std::size_t at = 0; at < script.size(); at += 13) {
     stream.feed(std::string_view(script).substr(at, 13));
@@ -256,7 +299,7 @@ TEST_F(DeployFixture, StreamedScriptWithCommentsMatchesOneShotNormalization) {
 }
 
 TEST_F(DeployFixture, StreamedAndOneShotScriptsShareTheCache) {
-  BrowserGate gate(bundle_.get(), 8);
+  BrowserGate gate(&db_, 8);
   const std::string script = fresh_packed();
   auto stream = gate.begin_script();
   stream.feed(script);
@@ -274,7 +317,7 @@ TEST_F(DeployFixture, StreamedAndOneShotScriptsShareTheCache) {
 }
 
 TEST_F(DeployFixture, DesktopScannerStreamEqualsScanFile) {
-  DesktopScanner scanner(bundle_.get());
+  DesktopScanner scanner(&db_);
   Rng rng(3);
   const std::vector<std::string> files = {
       kitgen::wrap_html("", fresh_packed(), rng), fresh_packed(),
@@ -301,7 +344,7 @@ TEST_F(DeployFixture, DesktopScannerStreamEqualsScanFile) {
 // LRU list, map and counters are shared mutable state behind the gate's
 // mutex; check_script and streamed finishes race on them from all sides.
 TEST_F(DeployFixture, BrowserGateIsSafeUnderConcurrentAdmission) {
-  BrowserGate gate(bundle_.get(), 4);  // small: forces constant eviction
+  BrowserGate gate(&db_, 4);  // small: forces constant eviction
   const std::vector<std::string> malicious = {fresh_packed()};
   const std::vector<std::string> benign = {
       "function ok(){return 1}", "var a=1;", "var b=2;", "var c=3;",

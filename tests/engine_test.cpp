@@ -1,7 +1,7 @@
 // Unified scan engine tests (the Database/Scratch/event tentpole):
 //
 //   * differential oracle — engine::scan's event list must be
-//     byte-identical to Scanner::scan_brute_force (per-signature search,
+//     byte-identical to testing::scan_brute_force (per-signature search,
 //     no shared prefilter) on a kitgen corpus, and first-event semantics
 //     must equal the brute-force first match, one-shot and under every
 //     chunking of the streamed path;
@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,8 @@
 #include "kitgen/packers.h"
 #include "kitgen/payload.h"
 #include "match/pattern.h"
-#include "match/scanner.h"
 #include "support/rng.h"
+#include "testing/brute_force.h"
 #include "testing/reference_automaton.h"
 #include "text/normalize.h"
 
@@ -152,24 +153,19 @@ TEST(EngineOracle, ScanEventsEqualBruteForceOnKitgenCorpus) {
   const auto sigs = corpus_signatures(corpus);
   const Database db = Database::compile(sigs);
 
-  // The same signature set in a Scanner, whose scan_brute_force is the
-  // prefilter-free per-signature reference.
-  match::Scanner oracle;
-  for (const auto& s : sigs) {
-    oracle.add(s.name, match::Pattern::compile(s.pattern));
-  }
-
   Scratch scratch;
   for (const std::string& text : corpus) {
-    const auto brute = oracle.scan_brute_force(text);
+    // The prefilter-free per-signature reference over the same database.
+    const std::vector<testing::ScanHit> brute =
+        testing::scan_brute_force(db, text).hits;
     const auto events = all_events(db, text, scratch);
     ASSERT_EQ(events.size(), brute.size()) << "text size " << text.size();
     for (std::size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ(events[i].sig_index, brute[i].signature_index);
+      EXPECT_EQ(events[i].sig_index, brute[i].sig_index);
       EXPECT_EQ(events[i].begin, brute[i].begin);
       EXPECT_EQ(events[i].end, brute[i].end);
-      EXPECT_EQ(events[i].name, sigs[brute[i].signature_index].name);
-      EXPECT_EQ(events[i].family, sigs[brute[i].signature_index].family);
+      EXPECT_EQ(events[i].name, sigs[brute[i].sig_index].name);
+      EXPECT_EQ(events[i].family, sigs[brute[i].sig_index].family);
     }
     // First-event semantics == brute-force first match.
     const auto first = first_match(db, text, scratch);
@@ -177,7 +173,7 @@ TEST(EngineOracle, ScanEventsEqualBruteForceOnKitgenCorpus) {
       EXPECT_FALSE(first.has_value());
     } else {
       ASSERT_TRUE(first.has_value());
-      EXPECT_EQ(first->sig_index, brute[0].signature_index);
+      EXPECT_EQ(first->sig_index, brute[0].sig_index);
     }
   }
 }
@@ -246,9 +242,8 @@ TEST(EngineOracle, PrefilterCandidatesEqualReferenceAutomaton) {
   }
 }
 
-// Pre-redesign SignatureBundle::match semantics: first confirmed candidate
-// in ascending index order. The engine must agree with a database loaded
-// from the `.kpf` artifact of the same signatures.
+// A database loaded from the `.kpf` artifact of a signature set delivers
+// exactly the events of one compiled from the same signatures.
 TEST(EngineOracle, ArtifactDatabaseAgreesWithCompiledDatabase) {
   const auto corpus = kitgen_corpus();
   const auto sigs = corpus_signatures(corpus);
@@ -285,6 +280,19 @@ TEST(EngineScan, CandidateFilterSkipsConfirmation) {
     }
     expect_same_events(events, want, "filtered");
   }
+}
+
+TEST(EngineDatabase, IndexOutOfRangeThrows) {
+  const Database db = Database::compile(
+      std::vector<Database::Spec>{{"only", "fam", "needle"}});
+  EXPECT_EQ(db.name(0), "only");
+  EXPECT_EQ(db.family(0), "fam");
+  EXPECT_EQ(db.pattern(0).source(), "needle");
+  EXPECT_THROW(db.name(1), std::out_of_range);
+  EXPECT_THROW(db.family(1), std::out_of_range);
+  EXPECT_THROW(db.pattern(1), std::out_of_range);
+  const Database empty;
+  EXPECT_THROW(empty.name(0), std::out_of_range);
 }
 
 TEST(EngineScan, EmptyDatabaseDeliversNothing) {

@@ -278,8 +278,8 @@ TEST(Limits, GovernedScanStaysAllocationFree) {
 // --------------------------- channel policy ---------------------------
 
 TEST(Limits, BrowserGateFailsOpenAndDoesNotCacheDegradedVerdicts) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::BrowserGate gate(&bundle);
+  const Database db = Database::compile(test_signatures());
+  core::BrowserGate gate(&db);
   gate.set_limits(expired_deadline());
   const std::string script = "documentwriteunescape('%75%6e')";
   const core::Verdict degraded = gate.check_script(script);
@@ -296,8 +296,8 @@ TEST(Limits, BrowserGateFailsOpenAndDoesNotCacheDegradedVerdicts) {
 }
 
 TEST(Limits, BrowserGateFailClosedBlocksOnBreach) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::BrowserGate gate(&bundle);
+  const Database db = Database::compile(test_signatures());
+  core::BrowserGate gate(&db);
   gate.set_limits(expired_deadline());
   gate.set_degrade_policy(core::DegradePolicy::kFailClosed);
   const core::Verdict v = gate.check_script("entirely benign content");
@@ -307,8 +307,8 @@ TEST(Limits, BrowserGateFailClosedBlocksOnBreach) {
 }
 
 TEST(Limits, BrowserGateStreamedScriptDegradesLikeOneShot) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::BrowserGate gate(&bundle);
+  const Database db = Database::compile(test_signatures());
+  core::BrowserGate gate(&db);
   gate.set_limits(expired_deadline());
   auto stream = gate.begin_script();
   stream.feed("documentwrite");
@@ -320,8 +320,8 @@ TEST(Limits, BrowserGateStreamedScriptDegradesLikeOneShot) {
 }
 
 TEST(Limits, DesktopScannerDefaultsFailClosed) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::DesktopScanner scanner(&bundle);
+  const Database db = Database::compile(test_signatures());
+  core::DesktopScanner scanner(&db);
   scanner.set_limits(expired_deadline());
   const core::Verdict blocked = scanner.scan_file("benign file content");
   EXPECT_TRUE(blocked.degraded);
@@ -333,8 +333,8 @@ TEST(Limits, DesktopScannerDefaultsFailClosed) {
 }
 
 TEST(Limits, DesktopFileStreamDegrades) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::DesktopScanner scanner(&bundle);
+  const Database db = Database::compile(test_signatures());
+  core::DesktopScanner scanner(&db);
   scanner.set_limits(expired_deadline());
   auto stream = scanner.begin_file();
   stream.feed("some file bytes");
@@ -345,8 +345,8 @@ TEST(Limits, DesktopFileStreamDegrades) {
 }
 
 TEST(Limits, MatchTrumpsDegradationEverywhere) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::DesktopScanner scanner(&bundle);
+  const Database db = Database::compile(test_signatures());
+  core::DesktopScanner scanner(&db);
   ScanLimits limits;
   limits.max_input_bytes = 32;  // truncates, but the literal fits in it
   scanner.set_limits(limits);
@@ -359,8 +359,8 @@ TEST(Limits, MatchTrumpsDegradationEverywhere) {
 }
 
 TEST(Limits, CdnFilterRecordsDegradedPlacements) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::CdnFilter filter(&bundle, 2);
+  const Database db = Database::compile(test_signatures());
+  core::CdnFilter filter(&db, 2);
   filter.set_limits(expired_deadline());
   const std::vector<std::string> candidates = {"benign one", "benign two",
                                                "benign three"};
@@ -400,8 +400,8 @@ TEST(Limits, UnpackLimitsBridgeMapsGovernorKnobs) {
 }
 
 TEST(Limits, CdnFilterUngovernedReportsNothingDegraded) {
-  const core::SignatureBundle bundle(test_signatures());
-  core::CdnFilter filter(&bundle, 2);
+  const Database db = Database::compile(test_signatures());
+  core::CdnFilter filter(&db, 2);
   const std::vector<std::string> candidates = {
       "documentwriteunescape('x')", "clean"};
   const core::CdnFilter::Report report = filter.filter(candidates);

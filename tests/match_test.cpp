@@ -2,7 +2,6 @@
 
 #include "match/pattern.h"
 #include "match/program.h"
-#include "match/scanner.h"
 
 namespace kizzle::match {
 namespace {
@@ -415,31 +414,6 @@ TEST(Pattern, CopySemantics) {
   EXPECT_TRUE(b.found_in("xabbcx"));
   Pattern c = std::move(a);
   EXPECT_TRUE(c.found_in("xabcx"));
-}
-
-// ------------------------------- Scanner -------------------------------
-
-TEST(Scanner, ReportsAllMatchingSignatures) {
-  Scanner scanner;
-  scanner.add("sig-a", Pattern::compile("alpha[0-9]+"));
-  scanner.add("sig-b", Pattern::compile("beta"));
-  scanner.add("sig-c", Pattern::compile("gamma"));
-  const auto hits = scanner.scan("xx alpha42 and beta yy");
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(scanner.name(hits[0].signature_index), "sig-a");
-  EXPECT_EQ(scanner.name(hits[1].signature_index), "sig-b");
-}
-
-TEST(Scanner, AnyMatchShortCircuits) {
-  Scanner scanner;
-  scanner.add("sig", Pattern::compile("needle"));
-  EXPECT_TRUE(scanner.any_match("haystack with needle inside"));
-  EXPECT_FALSE(scanner.any_match("nothing here"));
-}
-
-TEST(Scanner, IndexOutOfRangeThrows) {
-  Scanner scanner;
-  EXPECT_THROW(scanner.name(0), std::out_of_range);
 }
 
 }  // namespace

@@ -8,20 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "av/av_engine.h"
-#include "core/deploy.h"
-#include "kitgen/families.h"
-#include "kitgen/packers.h"
-#include "kitgen/payload.h"
+#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "match/pattern.h"
 #include "match/prefilter.h"
-#include "match/scanner.h"
-#include "support/rng.h"
+#include "testing/brute_force.h"
+#include "testing/mixed_corpus.h"
 #include "testing/reference_automaton.h"
-#include "text/normalize.h"
 
 namespace kizzle::match {
 namespace {
@@ -233,129 +231,67 @@ TEST(LiteralPrefilter, RepeatedScansNeverLoseIds) {
   }
 }
 
-// ------------------------- fallback via Scanner -------------------------
+// ------------------------ fallback via the engine ------------------------
 
-TEST(ScannerPrefilter, PatternsWithoutUsableLiteralStillMatch) {
-  Scanner scanner;
+TEST(DatabasePrefilter, PatternsWithoutUsableLiteralStillMatch) {
   // None of these yields a required literal (>= 3 chars):
-  scanner.add("classes", Pattern::compile("[0-9]+[a-z]+"));  // pure classes
-  scanner.add("short", Pattern::compile("ab"));              // 2-char literal
-  scanner.add("split", Pattern::compile("a.c"));             // runs of 1
-  scanner.add("star", Pattern::compile(".+xy?"));            // nothing fixed
-  for (std::size_t i = 0; i < scanner.size(); ++i) {
-    EXPECT_TRUE(scanner.pattern(i).required_literal().empty()) << i;
+  const engine::Database db = engine::Database::compile(
+      std::vector<engine::Database::Spec>{
+          {"classes", "", "[0-9]+[a-z]+"},  // pure classes
+          {"short", "", "ab"},              // 2-char literal
+          {"split", "", "a.c"},             // runs of 1
+          {"star", "", ".+xy?"},            // nothing fixed
+      });
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    EXPECT_TRUE(db.pattern(i).required_literal().empty()) << i;
   }
-  const auto hits = scanner.scan("42z ab abc x");
+  engine::Scratch scratch;
+  const auto hits = testing::scan_all(db, "42z ab abc x", scratch).hits;
   ASSERT_EQ(hits.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(hits[i].signature_index, i);
+    EXPECT_EQ(hits[i].sig_index, i);
   }
 }
 
-TEST(ScannerPrefilter, AnchoredPatternBudgetAccountingMatchesBruteForce) {
+TEST(DatabasePrefilter, AnchoredPatternBudgetAccountingMatchesBruteForce) {
   // ^-anchored pattern with a usable literal ("yyy") and catastrophic
   // backtracking. Literal absent: both paths must skip the VM entirely
   // (prefilter drops the candidate; search()'s anchored branch
   // quick-rejects) and charge nothing. Literal present: both run the VM
   // and both charge the budget.
-  Scanner scanner;
-  scanner.add("anchored", Pattern::compile("^(x+x+)+yyy"));
+  const engine::Database db = engine::Database::compile(
+      std::vector<engine::Database::Spec>{{"anchored", "", "^(x+x+)+yyy"}});
+  engine::Scratch scratch;
   const std::string xs(2048, 'x');
 
-  EXPECT_TRUE(scanner.scan(xs).empty());
-  EXPECT_TRUE(scanner.scan_brute_force(xs).empty());
-  EXPECT_EQ(scanner.budget_exceeded_count(), 0u);
+  const testing::ScanHits fast_absent = testing::scan_all(db, xs, scratch);
+  const testing::ScanHits brute_absent = testing::scan_brute_force(db, xs);
+  EXPECT_TRUE(fast_absent.hits.empty());
+  EXPECT_TRUE(brute_absent.hits.empty());
+  EXPECT_EQ(fast_absent.budget_exceeded, 0u);
+  EXPECT_EQ(brute_absent.budget_exceeded, 0u);
 
   const std::string with_literal = xs + "zyyy";  // literal present, no match
-  EXPECT_TRUE(scanner.scan(with_literal).empty());
-  const std::uint64_t mid = scanner.budget_exceeded_count();
-  EXPECT_TRUE(scanner.scan_brute_force(with_literal).empty());
-  EXPECT_EQ(scanner.budget_exceeded_count(), 2 * mid);
+  const testing::ScanHits fast = testing::scan_all(db, with_literal, scratch);
+  const testing::ScanHits brute = testing::scan_brute_force(db, with_literal);
+  EXPECT_TRUE(fast.hits.empty());
+  EXPECT_TRUE(brute.hits.empty());
+  EXPECT_EQ(fast.budget_exceeded, brute.budget_exceeded);
 }
 
 // ------------------------------ oracle ------------------------------
 
-std::vector<std::string> kitgen_samples() {
-  Rng rng(0xC0FFEE);
-  std::vector<std::string> samples;
-  for (int i = 0; i < 6; ++i) {
-    kitgen::PayloadSpec spec;
-    spec.family = kitgen::KitFamily::Nuclear;
-    spec.cves = kitgen::kit_info(kitgen::KitFamily::Nuclear).cves;
-    spec.av_check = true;
-    spec.urls = {kitgen::make_landing_url(rng)};
-    samples.push_back(text::normalize_raw(
-        pack_nuclear(payload_text(spec), kitgen::NuclearPackerState{}, rng)));
-    spec.family = kitgen::KitFamily::Rig;
-    spec.cves = kitgen::kit_info(kitgen::KitFamily::Rig).cves;
-    samples.push_back(text::normalize_raw(
-        pack_rig(payload_text(spec), kitgen::RigPackerState{}, rng)));
-    spec.family = kitgen::KitFamily::Angler;
-    spec.cves = kitgen::kit_info(kitgen::KitFamily::Angler).cves;
-    samples.push_back(text::normalize_raw(
-        pack_angler(payload_text(spec), kitgen::AnglerPackerState{}, rng)));
-  }
-  return samples;
-}
-
-// Signatures in the style the compiler emits — escaped literal chunks cut
-// from real samples (some present, most from *other* samples) — plus
-// class-heavy and fallback-only patterns.
-void add_mixed_signatures(Scanner& scanner,
-                          const std::vector<std::string>& samples) {
-  Rng rng(0xBEEF);
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    const std::string& text = samples[s];
-    for (int k = 0; k < 4; ++k) {
-      const std::size_t len = 16 + rng.index(32);
-      if (text.size() <= len) continue;
-      const std::size_t at = rng.index(text.size() - len);
-      scanner.add("chunk", Pattern::compile(
-                               Pattern::escape(text.substr(at, len))));
-    }
-  }
-  scanner.add("classes", Pattern::compile("[0-9]+[a-z]+[0-9]+"));
-  scanner.add("short", Pattern::compile("ev"));
-  scanner.add("mixed", Pattern::compile("fromCharCode[0-9a-z]*"));
-  scanner.add("absent", Pattern::compile("never_going_to_show_up_anywhere"));
-}
-
-TEST(ScannerPrefilter, OracleHitSetEqualityOnKitgenSamples) {
-  const auto samples = kitgen_samples();
-  Scanner scanner;
-  add_mixed_signatures(scanner, samples);
+TEST(DatabasePrefilter, OracleHitSetEqualityOnKitgenSamples) {
+  const auto samples = testing::mixed_kitgen_samples();
+  const engine::Database db =
+      engine::Database::compile(testing::mixed_signature_specs(samples));
+  engine::Scratch scratch;
   for (const std::string& text : samples) {
-    const std::uint64_t before = scanner.budget_exceeded_count();
-    const auto fast = scanner.scan(text);
-    const std::uint64_t mid = scanner.budget_exceeded_count();
-    const auto brute = scanner.scan_brute_force(text);
-    const std::uint64_t after = scanner.budget_exceeded_count();
-
-    ASSERT_EQ(fast.size(), brute.size());
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i].signature_index, brute[i].signature_index);
-      EXPECT_EQ(fast[i].begin, brute[i].begin);
-      EXPECT_EQ(fast[i].end, brute[i].end);
-    }
+    const testing::ScanHits fast = testing::scan_all(db, text, scratch);
+    const testing::ScanHits brute = testing::scan_brute_force(db, text);
+    EXPECT_EQ(fast.hits, brute.hits);
     // Identical budget-exceeded accounting on both paths.
-    EXPECT_EQ(mid - before, after - mid);
-  }
-}
-
-TEST(ScannerPrefilter, ScanBatchMatchesSequentialScan) {
-  const auto samples = kitgen_samples();
-  Scanner scanner;
-  add_mixed_signatures(scanner, samples);
-  const auto batched = scanner.scan_batch(samples);
-  ASSERT_EQ(batched.size(), samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto single = scanner.scan(samples[i]);
-    ASSERT_EQ(batched[i].size(), single.size()) << i;
-    for (std::size_t j = 0; j < single.size(); ++j) {
-      EXPECT_EQ(batched[i][j].signature_index, single[j].signature_index);
-      EXPECT_EQ(batched[i][j].begin, single[j].begin);
-      EXPECT_EQ(batched[i][j].end, single[j].end);
-    }
+    EXPECT_EQ(fast.budget_exceeded, brute.budget_exceeded);
   }
 }
 
@@ -395,7 +331,7 @@ TEST(AvEnginePrefilter, MatchesBruteForceReference) {
   }
 }
 
-TEST(SignatureBundlePrefilter, FirstMatchEqualsLinearReference) {
+TEST(DatabasePrefilter, FirstMatchEqualsLinearReference) {
   std::vector<core::DeployedSignature> sigs;
   const std::vector<std::string> patterns = {
       "landingpage[0-9]+", "fromCharCode", "[0-9]+[a-z]+",  // fallback
@@ -409,7 +345,8 @@ TEST(SignatureBundlePrefilter, FirstMatchEqualsLinearReference) {
     s.pattern = patterns[i];
     sigs.push_back(s);
   }
-  const core::SignatureBundle bundle(sigs);
+  const engine::Database db = engine::Database::compile(sigs);
+  engine::Scratch scratch;
   const std::vector<std::string> texts = {
       "xx landingpage42", "xx fromCharCode yy", "123abc456", "substrabc",
       "nothing"};
@@ -421,7 +358,9 @@ TEST(SignatureBundlePrefilter, FirstMatchEqualsLinearReference) {
         break;
       }
     }
-    EXPECT_EQ(bundle.match(t), expect) << t;
+    const auto got = engine::first_match(db, t, scratch);
+    ASSERT_EQ(got.has_value(), expect.has_value()) << t;
+    if (expect) EXPECT_EQ(got->sig_index, *expect) << t;
   }
 }
 

@@ -3,8 +3,9 @@
 #include <sstream>
 #include <string>
 
-#include "core/deploy.h"
+#include "core/pipeline.h"
 #include "core/sigdb.h"
+#include "engine/engine.h"
 #include "support/errors.h"
 
 namespace kizzle::core {
@@ -40,11 +41,13 @@ TEST(SigDb, RoundTrip) {
   }
 }
 
-TEST(SigDb, LoadedSetDrivesABundle) {
+TEST(SigDb, LoadedSetDrivesADatabase) {
   const auto loaded = load_signatures(save_signatures(sample_set()));
-  SignatureBundle bundle(loaded);
-  EXPECT_TRUE(bundle.match("xxx(ev3fwrwg4al)yyy").has_value());
-  EXPECT_FALSE(bundle.match("clean content").has_value());
+  const engine::Database db = engine::Database::compile(loaded);
+  engine::Scratch scratch;
+  EXPECT_TRUE(
+      engine::first_match(db, "xxx(ev3fwrwg4al)yyy", scratch).has_value());
+  EXPECT_FALSE(engine::first_match(db, "clean content", scratch).has_value());
 }
 
 TEST(SigDb, DeterministicOutput) {

@@ -2,18 +2,19 @@
 // StreamingMatcher must be byte-identical to one-shot candidates() — and
 // to the reference automaton (tests/testing) — over every chunking of a
 // corpus, a recycled matcher must equal a fresh one whatever prefilter it
-// moves to, and the `.kpf` artifact must drive SignatureBundle to the
-// verdicts of a bundle compiled from the same signatures.
+// moves to, and a database loaded from the `.kpf` artifact must give the
+// verdicts of one compiled from the same signatures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/deploy.h"
 #include "core/pipeline.h"
 #include "core/sigdb.h"
+#include "engine/engine.h"
 #include "kitgen/families.h"
 #include "kitgen/packers.h"
 #include "kitgen/payload.h"
@@ -202,6 +203,15 @@ TEST(StreamingMatcher, RebindAcrossPrefiltersEqualsFreshMatcher) {
 namespace kizzle::core {
 namespace {
 
+// Index of the first matching signature, or nullopt.
+std::optional<std::size_t> first_index(const engine::Database& db,
+                                       std::string_view text) {
+  engine::Scratch scratch;
+  const auto hit = engine::first_match(db, text, scratch);
+  if (!hit) return std::nullopt;
+  return hit->sig_index;
+}
+
 std::vector<DeployedSignature> artifact_signatures() {
   const std::vector<std::string> patterns = {
       "landingpage[0-9]+", "fromCharCode", "[0-9]+[a-z]+",  // fallback
@@ -237,30 +247,34 @@ TEST(BundleArtifact, RoundTripPreservesSignaturesAndLineage) {
   // The database compiled at load has the candidates of a fresh compile.
   std::stringstream again(blob.str());
   const engine::Database db = engine::Database::from_artifact(again);
-  const SignatureBundle fresh(sigs);
+  const engine::Database fresh = engine::Database::compile(sigs);
   EXPECT_EQ(db.fingerprint(), loaded.fingerprint);
   const std::vector<std::string> texts = {
       "xx landingpage42", "xx fromCharCode yy", "123abc456", "substrabc()",
       "nothing", ""};
   for (const std::string& t : texts) {
     EXPECT_EQ(db.prefilter().candidates(t),
-              fresh.database().prefilter().candidates(t))
+              fresh.prefilter().candidates(t))
         << t;
   }
 }
 
-TEST(BundleArtifact, ArtifactLoadedBundleMatchesFreshBundle) {
+TEST(BundleArtifact, ArtifactLoadedDatabaseMatchesFreshDatabase) {
   const auto sigs = artifact_signatures();
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   save_artifact(blob, sigs);
-  const SignatureBundle from_artifact(blob);
-  const SignatureBundle fresh(sigs);
+  std::vector<DeployedSignature> loaded;
+  const engine::Database from_artifact =
+      engine::Database::from_artifact(blob, &loaded);
+  const engine::Database fresh = engine::Database::compile(sigs);
   ASSERT_EQ(from_artifact.size(), fresh.size());
+  ASSERT_EQ(loaded.size(), sigs.size());
+  EXPECT_EQ(loaded.front().issued_day, sigs.front().issued_day);
   const std::vector<std::string> texts = {
       "xx landingpage42", "xx fromCharCode yy", "123abc456", "substrabc()",
       "nothing", ""};
   for (const std::string& t : texts) {
-    EXPECT_EQ(from_artifact.match(t), fresh.match(t)) << t;
+    EXPECT_EQ(first_index(from_artifact, t), first_index(fresh, t)) << t;
   }
 }
 
@@ -306,11 +320,12 @@ TEST(BundleArtifact, PipelineExportLoadsIntoEquivalentBundle) {
 
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   pipeline.export_artifact(blob);
-  const SignatureBundle from_artifact(blob);
-  const SignatureBundle fresh(pipeline.signatures());
+  const engine::Database from_artifact = engine::Database::from_artifact(blob);
+  const engine::Database fresh =
+      engine::Database::compile(pipeline.signatures());
   ASSERT_EQ(from_artifact.size(), pipeline.signatures().size());
   for (const std::string& t : scan_texts) {
-    EXPECT_EQ(from_artifact.match(t), fresh.match(t));
+    EXPECT_EQ(first_index(from_artifact, t), first_index(fresh, t));
   }
 }
 
@@ -318,30 +333,33 @@ TEST(BundleArtifact, EmptyPipelineExportsLoadableArtifact) {
   KizzlePipeline pipeline(PipelineConfig{}, 1);
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   pipeline.export_artifact(blob);
-  const SignatureBundle bundle(blob);
-  EXPECT_EQ(bundle.size(), 0u);
-  EXPECT_FALSE(bundle.match("anything").has_value());
+  const engine::Database db = engine::Database::from_artifact(blob);
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_FALSE(first_index(db, "anything").has_value());
 }
 
 // ----------------- chunked channel scans vs one-shot -----------------
 
-TEST(BundleArtifact, StreamMatchEqualsOneShotOverAllChunkings) {
-  const auto sigs = artifact_signatures();
-  const SignatureBundle bundle(sigs);
+TEST(BundleArtifact, StreamFirstMatchEqualsOneShotOverAllChunkings) {
+  const engine::Database db =
+      engine::Database::compile(artifact_signatures());
+  engine::Scratch scratch;
   const std::vector<std::string> texts = {
       "xx landingpage42", "xx fromCharCode yy", "123abc456", "substrabc()",
       "nothing", std::string(9000, 'a') + "landingpage7" + std::string(5000, 'b'),
       ""};
   for (const std::string& t : texts) {
-    const auto expect = bundle.match(t);
+    const auto expect = first_index(db, t);
     for (const std::size_t chunk :
          std::vector<std::size_t>{1, 7, 4096, std::max<std::size_t>(t.size(), 1)}) {
-      auto stream = bundle.begin_stream();
+      engine::Stream stream = engine::open_stream(db, scratch);
       for (std::size_t at = 0; at < t.size(); at += chunk) {
         stream.feed(std::string_view(t).substr(at, chunk));
       }
-      EXPECT_EQ(stream.finish(), expect) << "chunk " << chunk;
-      EXPECT_EQ(stream.normalized(), t);
+      const auto got = stream.finish_first();
+      ASSERT_EQ(got.has_value(), expect.has_value()) << "chunk " << chunk;
+      if (got) EXPECT_EQ(got->sig_index, *expect) << "chunk " << chunk;
+      EXPECT_EQ(stream.text(), t);
     }
   }
 }

@@ -7,7 +7,7 @@
 // differential oracle: every route LiteralPrefilter can take (Teddy,
 // hybrid dense shards, all-dense, sliced texts, streaming) must return
 // its candidate set byte for byte. It sits next to the brute-force
-// scanner (match::Scanner::scan_brute_force), the oracle one tier up.
+// scanner (brute_force.h), the oracle one tier up.
 //
 // PrefilterTestPeer is the seam into the prefilter's private slicing
 // route: it forces the slicer, with a small slice size, on texts the

@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "analyze/analyze.h"
-#include "core/deploy.h"
 #include "core/pipeline.h"
 #include "core/sigdb.h"
 #include "engine/engine.h"
