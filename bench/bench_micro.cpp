@@ -511,10 +511,10 @@ BENCHMARK(BM_ScanBatchParallel)->Arg(1)->Arg(4)->Arg(0)->UseRealTime();
 // --------------------------- streaming scan ---------------------------
 
 // The deployment channels' chunked path (BrowserGate network arrival,
-// DesktopScanner block reads): the first stage streams over fixed size
-// chunks with carried state, then only candidates run the VM.
-// BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot is the cost of the
-// chunked cursor relative to one contiguous first-match scan over the
+// DesktopScanner block reads): fixed-size chunks are appended to the
+// stream, and finish runs the one-shot scan over the accumulated text.
+// BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot is the cost of
+// chunked intake relative to one contiguous first-match scan over the
 // same 100-signature database.
 std::vector<core::DeployedSignature> streaming_signatures(std::size_t count) {
   Rng rng(15);

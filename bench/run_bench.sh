@@ -34,7 +34,9 @@
 #
 # The headline comparisons: BM_ClusterPairwise vs BM_ClusterPairwiseScalar
 # items_per_second (unordered pairs resolved per second),
-# BM_StreamingScan bytes_per_second against the one-shot pass, and
+# BM_StreamingScan bytes_per_second against the one-shot pass (a stream
+# runs that same pass at finish, so the gap is the cost of chunked
+# intake: appending to the scratch's text buffer), and
 # BM_DeployDeltaApply against BM_DeployFullReload.
 #
 # --compare checks the scan series for regressions against a baseline JSON

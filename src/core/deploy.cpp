@@ -177,7 +177,7 @@ BrowserGate::ScriptStream::ScriptStream(BrowserGate* gate)
 void BrowserGate::ScriptStream::feed(std::string_view chunk) {
   raw_ += chunk;
   // Raw normalization is per-byte, so it streams chunk by chunk; the
-  // first-stage state carries across the boundary inside the engine stream.
+  // engine stream accumulates the normalized text for finish().
   stage_.clear();
   text::normalize_raw_append(chunk, stage_);
   stream_.feed(stage_);

@@ -24,9 +24,10 @@
 //                 a content-hash LRU — the common case must cost a hash
 //                 lookup, not a scan. Scripts that arrive from the network
 //                 in pieces go through begin_script()/feed()/finish(): the
-//                 engine stream carries the first-stage state across chunk
-//                 boundaries, so by end of transfer only candidate
-//                 confirmation is left.
+//                 engine stream accumulates the chunks as they arrive and
+//                 finish() pays one first-stage pass plus candidate
+//                 confirmation over the whole script — the same scan a
+//                 script delivered in one piece gets.
 //   DesktopScanner  scans whole files written to disk (browser caches);
 //                 file content is arbitrary, so raw normalization is used.
 //                 Large files stream through begin_file()/scan_stream() in

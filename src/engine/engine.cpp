@@ -307,25 +307,27 @@ std::size_t clip_input(const ScanLimits& limits, std::string_view& text) {
   return dropped;
 }
 
-// The governed one-shot scan body; the scratch's members arrive as
-// explicit references because only the public scan() overloads are
-// friends of Scratch.
+// The governed scan body scan() and Stream::finish() share: `text` has
+// already passed the intake cap (`dropped` bytes cut) and `gate` is armed.
+// An expired gate delivers nothing and reports `expired_at`; otherwise the
+// prefilter pass hands its candidates and anchor hints to confirmation.
+// The scratch's members arrive as explicit references because only the
+// public entry points are friends of Scratch.
 ScanOutcome scan_impl(const Database& db, std::string_view text,
-                      const ScanLimits& limits,
+                      std::size_t dropped, DeadlineGate gate,
+                      ScanStage expired_at, const ScanLimits& limits,
                       std::vector<std::size_t>& candidates,
                       match::teddy::HitBuffer& teddy_hits,
                       std::vector<std::uint32_t>& hints, match::VmScratch& vm,
                       ScanStats& stats, const CandidateFn* should_confirm,
                       MatchFn on_match) {
-  const std::size_t dropped = clip_input(limits, text);
-  const DeadlineGate gate = DeadlineGate::arm(limits);
   if (gate.expired()) {
     // Expired before any work: deliver nothing, report where it stopped.
     candidates.clear();
     stats = ScanStats{};
     ScanOutcome out;
     out.truncated_bytes = dropped;
-    escalate(out, ScanStatus::kDeadlineExpired, ScanStage::kPrefilter);
+    escalate(out, ScanStatus::kDeadlineExpired, expired_at);
     return out;
   }
   db.prefilter().candidates_into(text, candidates, teddy_hits,
@@ -342,14 +344,18 @@ ScanOutcome scan_impl(const Database& db, std::string_view text,
 
 ScanOutcome scan(const Database& db, std::string_view text, Scratch& scratch,
                  MatchFn on_match) {
-  return scan_impl(db, text, scratch.limits_, scratch.candidates_,
+  const std::size_t dropped = clip_input(scratch.limits_, text);
+  return scan_impl(db, text, dropped, DeadlineGate::arm(scratch.limits_),
+                   ScanStage::kPrefilter, scratch.limits_, scratch.candidates_,
                    scratch.teddy_hits_, scratch.hints_, scratch.vm_,
                    scratch.stats_, nullptr, on_match);
 }
 
 ScanOutcome scan(const Database& db, std::string_view text, Scratch& scratch,
                  CandidateFn should_confirm, MatchFn on_match) {
-  return scan_impl(db, text, scratch.limits_, scratch.candidates_,
+  const std::size_t dropped = clip_input(scratch.limits_, text);
+  return scan_impl(db, text, dropped, DeadlineGate::arm(scratch.limits_),
+                   ScanStage::kPrefilter, scratch.limits_, scratch.candidates_,
                    scratch.teddy_hits_, scratch.hints_, scratch.vm_,
                    scratch.stats_, &should_confirm, on_match);
 }
@@ -359,16 +365,6 @@ ScanOutcome confirm(const Database& db, std::span<const std::size_t> candidates,
   scratch.stats_.prefilter = match::PrefilterStats{};
   return confirm_loop(db, candidates, text, scratch.vm_, scratch.stats_,
                       nullptr, on_match, nullptr,
-                      scratch.limits_.vm_step_budget,
-                      DeadlineGate::arm(scratch.limits_));
-}
-
-ScanOutcome confirm(const Database& db, std::span<const std::size_t> candidates,
-                    std::string_view text, Scratch& scratch,
-                    CandidateFn should_confirm, MatchFn on_match) {
-  scratch.stats_.prefilter = match::PrefilterStats{};
-  return confirm_loop(db, candidates, text, scratch.vm_, scratch.stats_,
-                      &should_confirm, on_match, nullptr,
                       scratch.limits_.vm_step_budget,
                       DeadlineGate::arm(scratch.limits_));
 }
@@ -387,11 +383,6 @@ std::optional<MatchEvent> first_match(const Database& db, std::string_view text,
 // ------------------------------- streams -------------------------------
 
 Stream open_stream(const Database& db, Scratch& scratch) {
-  if (scratch.matcher_.has_value()) {
-    scratch.matcher_->rebind(db.prefilter());
-  } else {
-    scratch.matcher_.emplace(db.prefilter());
-  }
   scratch.normalized_.clear();
   // The stream's whole life runs under one deadline, armed here.
   scratch.stream_deadline_ =
@@ -425,36 +416,18 @@ void Stream::feed(std::string_view normalized_chunk) {
       if (normalized_chunk.empty()) return;
     }
   }
-  s.matcher_->feed(normalized_chunk);
   s.normalized_ += normalized_chunk;
 }
 
 ScanOutcome Stream::finish(MatchFn on_match) const {
+  // A stream whose deadline passed (at a feed or since) delivers nothing:
+  // scanning would only make it later. Feeding may continue after finish;
+  // a later finish scans everything fed so far.
   Scratch& s = *scratch_;
-  const DeadlineGate gate = DeadlineGate::from(s.stream_deadline_);
-  if (s.stream_deadline_hit_ || gate.expired()) {
-    // The stream's deadline already passed: confirmation would only make
-    // it later. Report where it stopped and deliver nothing.
-    s.candidates_.clear();
-    s.stats_ = ScanStats{};
-    ScanOutcome out;
-    out.truncated_bytes = s.stream_dropped_;
-    escalate(out, ScanStatus::kDeadlineExpired, ScanStage::kInput);
-    return out;
-  }
-  // Snapshot semantics: the cursor's candidate set is materialized into
-  // the scratch's candidate buffer, then confirmed against the accumulated
-  // text. Feeding may continue afterwards.
-  s.matcher_->finish_into(s.candidates_);
-  s.stats_.prefilter = match::PrefilterStats{};
-  ScanOutcome out = confirm_loop(*db_, s.candidates_, s.normalized_, s.vm_,
-                                 s.stats_, nullptr, on_match, nullptr,
-                                 s.limits_.vm_step_budget, gate);
-  out.truncated_bytes = s.stream_dropped_;
-  if (s.stream_dropped_ > 0) {
-    escalate(out, ScanStatus::kTruncated, ScanStage::kInput);
-  }
-  return out;
+  return scan_impl(*db_, s.normalized_, s.stream_dropped_,
+                   DeadlineGate::from(s.stream_deadline_), ScanStage::kInput,
+                   s.limits_, s.candidates_, s.teddy_hits_, s.hints_, s.vm_,
+                   s.stats_, nullptr, on_match);
 }
 
 std::optional<MatchEvent> Stream::finish_first(ScanOutcome* outcome) const {
@@ -466,7 +439,5 @@ std::optional<MatchEvent> Stream::finish_first(ScanOutcome* outcome) const {
   if (outcome != nullptr) *outcome = out;
   return first;
 }
-
-std::size_t Stream::bytes_fed() const { return scratch_->matcher_->bytes_fed(); }
 
 }  // namespace kizzle::engine

@@ -15,10 +15,11 @@
 //                      release artifact) and then shared read-only by any
 //                      number of threads.
 //   engine::Scratch    per-thread/per-worker mutable working memory: the
-//                      candidate vector, the streaming cursor, the
-//                      accumulated normalized text, and the backtracking
-//                      VM's buffers. Steady-state scanning with a warm
-//                      Scratch performs ZERO heap allocations (asserted in
+//                      candidate vector, the first stage's hit and hint
+//                      buffers, the accumulated stream text, and the
+//                      backtracking VM's buffers. Steady-state scanning
+//                      (one-shot or streamed) with a warm Scratch performs
+//                      ZERO heap allocations (asserted in
 //                      tests/engine_test.cpp); buffers grow to the
 //                      database's high-water mark and stay.
 //   scan()/confirm()   event-driven matching: every matching signature is
@@ -28,10 +29,10 @@
 //                      the AV baseline) and all-matches consumers (the
 //                      CLI, the experiments) are the same code path — they
 //                      differ only in what the callback returns.
-//   open_stream()      resumable scanning for text that arrives in chunks:
-//                      the prefilter's first stage streams over each piece
-//                      (state carried across boundaries), finish() confirms
-//                      only the candidates against the accumulated text.
+//   open_stream()      scanning for text that arrives in chunks: feed()
+//                      appends each piece to the scratch under the
+//                      stream's governance, finish() runs exactly scan()
+//                      over the accumulated text.
 //
 // Events are delivered in ascending signature-index order (== issue
 // order), so "first event" is exactly the brute-force first-match answer.
@@ -175,10 +176,10 @@ struct ScanOutcome {
 
 // Per-scan observability, owned by the Scratch and overwritten by each
 // scan on it (never accumulated): the prefilter's tier 1–2 counters plus
-// how the candidates split across the confirmation tiers. scan() fills
-// everything; confirm() and Stream::finish() fill the candidate/tier
-// counters and zero the prefilter slice (the candidate list arrived from
-// outside the call). Reading it costs nothing on the scan path — the
+// how the candidates split across the confirmation tiers. scan() and
+// Stream::finish() fill everything; confirm() fills the candidate/tier
+// counters and zeroes the prefilter slice (the candidate list arrived
+// from outside the call). Reading it costs nothing on the scan path — the
 // counters are plain increments on memory the scratch already owns.
 struct ScanStats {
   match::PrefilterStats prefilter;  // first-stage hits, shards, survivors
@@ -296,8 +297,8 @@ class Stream;
 
 // Per-thread (or per in-flight document) mutable scan state. Everything a
 // scan needs to allocate lives here and is recycled across calls: the
-// candidate list, the streaming first-stage cursor, the accumulated
-// normalized text, and the VM's backtracking buffers. A Scratch may be
+// candidate list, the first stage's hit and hint buffers, the accumulated
+// stream text, and the VM's backtracking buffers. A Scratch may be
 // used with any number of databases over its lifetime (buffers re-size on
 // first contact with a larger database, then stabilize). Not thread-safe:
 // one Scratch per concurrent scan.
@@ -333,9 +334,6 @@ class Scratch {
                           CandidateFn, MatchFn);
   friend ScanOutcome confirm(const Database&, std::span<const std::size_t>,
                              std::string_view, Scratch&, MatchFn);
-  friend ScanOutcome confirm(const Database&, std::span<const std::size_t>,
-                             std::string_view, Scratch&, CandidateFn,
-                             MatchFn);
   friend Stream open_stream(const Database&, Scratch&);
 
   std::vector<std::size_t> candidates_;
@@ -349,7 +347,6 @@ class Scratch {
   std::vector<std::uint32_t> hints_;
   std::string normalized_;  // stream accumulation buffer
   match::VmScratch vm_;
-  std::optional<match::StreamingMatcher> matcher_;
   ScanStats stats_;
   ScanLimits limits_;
   // Stream governance (valid between open_stream() and the next rewind):
@@ -372,14 +369,11 @@ ScanOutcome scan(const Database& db, std::string_view text, Scratch& scratch,
 ScanOutcome scan(const Database& db, std::string_view text, Scratch& scratch,
                  CandidateFn should_confirm, MatchFn on_match);
 
-// Confirms an ascending candidate list (as produced by the prefilter or a
-// streaming cursor over it) against `text`. scan() == prefilter +
-// confirm(); stream finish() == cursor snapshot + confirm().
+// Confirms an ascending candidate list (as produced by the prefilter)
+// against `text`. scan() == prefilter + confirm(), minus the anchor
+// hints the prefilter hands straight to confirmation.
 ScanOutcome confirm(const Database& db, std::span<const std::size_t> candidates,
                     std::string_view text, Scratch& scratch, MatchFn on_match);
-ScanOutcome confirm(const Database& db, std::span<const std::size_t> candidates,
-                    std::string_view text, Scratch& scratch,
-                    CandidateFn should_confirm, MatchFn on_match);
 
 // Convenience for the ubiquitous first-match shape: the lowest-index
 // matching signature, or nullopt. (A scan that only needs a yes/no or a
@@ -394,18 +388,23 @@ std::optional<MatchEvent> first_match(const Database& db, std::string_view text,
 
 // ------------------------------- streams -------------------------------
 
-// Resumable scan over text that arrives in chunks. A Stream is a thin
-// borrowing handle: all state lives in the Scratch (and the Database),
-// which must both outlive it; one open stream per Scratch at a time.
-// finish() is a snapshot — feeding may continue afterwards.
+// Scan over text that arrives in chunks. A Stream is a thin borrowing
+// handle: all state lives in the Scratch (and the Database), which must
+// both outlive it; one open stream per Scratch at a time. feed() only
+// appends — the whole text is scanned once, at finish(), by the same
+// first stage and confirmation a one-shot scan runs. finish() is a
+// snapshot: feeding may continue afterwards, and a later finish() scans
+// everything fed so far.
 class Stream {
  public:
-  // Consumes the next chunk of (already normalized) scan text: streams the
-  // prefilter's first stage over it and accumulates it for confirmation.
+  // Appends the next chunk of (already normalized) scan text, subject to
+  // the stream's deadline and intake cap.
   void feed(std::string_view normalized_chunk);
 
-  // Confirms the candidates seen so far against the accumulated text.
-  // Identical to scan(db, <all chunks concatenated>, scratch, on_match).
+  // Scans the accumulated text: identical to scan(db, <all chunks
+  // concatenated>, scratch, on_match), stats included, except that the
+  // deadline was armed at open_stream() and bytes the intake cap dropped
+  // were dropped at feed().
   ScanOutcome finish(MatchFn on_match) const;
   // First-match snapshot; `outcome` (optional) receives the governance
   // verdict, mirroring first_match().
@@ -413,7 +412,7 @@ class Stream {
 
   // The accumulated text (== scratch.stream_text()).
   const std::string& text() const { return scratch_->normalized_; }
-  std::size_t bytes_fed() const;
+  std::size_t bytes_fed() const { return scratch_->normalized_.size(); }
 
  private:
   friend Stream open_stream(const Database&, Scratch&);
@@ -423,8 +422,8 @@ class Stream {
   Scratch* scratch_;
 };
 
-// Arms `scratch` for a new stream over `db` (rewinding any previous stream
-// state) and returns the handle.
+// Arms `scratch` for a new stream over `db` (emptying any previous
+// stream's text and arming the stream's deadline) and returns the handle.
 Stream open_stream(const Database& db, Scratch& scratch);
 
 // ----------------------------- scratch pool ----------------------------

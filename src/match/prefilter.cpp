@@ -51,9 +51,8 @@ void set_no_hint(std::vector<std::uint32_t>* hints,
   for (const std::size_t id : ids) (*hints)[id] = teddy::kNoHint;
 }
 
-// Texts longer than this are past Teddy's 32-bit hit positions and are
-// streamed through StreamingMatcher's slicing window instead of scanned
-// whole.
+// Texts longer than this are past Teddy's 32-bit hit positions; the SIMD
+// pass runs over overlapping views of at most this many bytes instead.
 constexpr std::size_t kMaxWholeText = 0xFFFFFFFFu;
 
 }  // namespace
@@ -209,13 +208,12 @@ LiteralPrefilter::AcTables LiteralPrefilter::compile_automaton(
 }
 
 std::size_t LiteralPrefilter::ac_walk(const AcTables& t, std::string_view text,
-                                      std::int32_t& state,
                                       std::vector<std::uint8_t>& seen,
                                       std::vector<std::size_t>& out,
                                       std::size_t n_seen,
                                       std::size_t stop_at) {
   if (t.alpha_size == 0 || n_seen >= stop_at) return n_seen;
-  std::int32_t s_cur = state;
+  std::int32_t s_cur = 0;
   for (const char ch : text) {
     const std::uint16_t code = t.alpha[static_cast<unsigned char>(ch)];
     if (code == kNoCode) {
@@ -241,7 +239,6 @@ std::size_t LiteralPrefilter::ac_walk(const AcTables& t, std::string_view text,
     }
     if (n_seen >= stop_at) break;
   }
-  state = s_cur;
   return n_seen;
 }
 
@@ -264,15 +261,13 @@ void LiteralPrefilter::candidates_into(std::string_view text,
                                        teddy::HitBuffer& hits,
                                        PrefilterStats* stats,
                                        std::vector<std::uint32_t>* hints) const {
-  collect(text, out, hits, stats, hints, /*whole_limit=*/kMaxWholeText,
-          /*slice=*/StreamingMatcher::kSliceBytes);
+  collect(text, out, hits, stats, hints, kMaxWholeText);
 }
 
 void LiteralPrefilter::collect(std::string_view text,
                                std::vector<std::size_t>& out,
                                teddy::HitBuffer& hits, PrefilterStats* stats,
                                std::vector<std::uint32_t>* hints,
-                               std::size_t whole_limit,
                                std::size_t slice) const {
   if (!built_) {
     throw std::logic_error("LiteralPrefilter: candidates before build()");
@@ -291,24 +286,6 @@ void LiteralPrefilter::collect(std::string_view text,
     if (stats != nullptr) stats->fallback = PrefilterFallback::kNoLiterals;
     return;
   }
-  if (text.size() > whole_limit) {
-    // One text past Teddy's position space is one stream: the matcher's
-    // window scans it in `slice`-byte slices with a longest-literal−1
-    // carry, at the price of copying the text through that window.
-    // Slice-relative positions mean nothing here, so no hints.
-    StreamingMatcher sliced(*this);
-    sliced.slice_ = slice;
-    sliced.feed(text);
-    sliced.finish_into(out);
-    set_no_hint(hints, out);
-    if (stats != nullptr) {
-      stats->fallback = teddy_dense_ ? PrefilterFallback::kDenseLiterals
-                                     : PrefilterFallback::kNone;
-      stats->dense_shards = n_dense_shards_;
-      stats->literal_survivors = out.size() - fallback_.size();
-    }
-    return;
-  }
 
   // Reused across calls (per thread) and never cleared wholesale: only
   // the marks this scan set are reset, so the per-scan cost is
@@ -324,19 +301,36 @@ void LiteralPrefilter::collect(std::string_view text,
       teddy::ScanCounters counters;
       const std::vector<std::uint8_t>* skip =
           n_dense_shards_ > 0 ? &dense_shard_ : nullptr;
-      n_seen = teddy_->find(text, hits, seen, out, 0, n_automaton_ids_,
-                            &counters, hints, skip);
+      if (text.size() <= slice) {
+        n_seen = teddy_->find(text, hits, seen, out, 0, n_automaton_ids_,
+                              &counters, hints, skip);
+      } else {
+        // Past the position space: overlapping views of the text itself,
+        // each sharing longest-literal−1 bytes with the next, so every
+        // occurrence lies wholly inside some view; ids re-confirmed in an
+        // overlap deduplicate. View-relative positions mean nothing to the
+        // caller, so this route reports no hints.
+        const std::size_t overlap = teddy_->max_literal_len() - 1;
+        const std::size_t view = std::max(slice, overlap + 1);
+        for (std::size_t at = 0; n_seen < n_automaton_ids_;
+             at += view - overlap) {
+          n_seen = teddy_->find(text.substr(at, view), hits, seen, out, n_seen,
+                                n_automaton_ids_, &counters, nullptr, skip);
+          if (text.size() - at <= view) break;
+        }
+        set_no_hint(hints, out);
+      }
       if (stats != nullptr) {
         stats->first_stage_hits = counters.first_stage_hits;
         stats->shards_scanned = counters.shards_scanned;
       }
     }
     if (n_dense_shards_ > 0) {
-      // Dense shards' literals walk their automaton. Ids found here get
-      // no hint — the confirm tier falls back to a full-text anchor search.
+      // Dense shards' literals walk their automaton over the whole text.
+      // Ids found here get no hint — the confirm tier falls back to a
+      // full-text anchor search.
       const std::size_t first = out.size();
-      std::int32_t state = 0;
-      ac_walk(dense_, text, state, seen, out, n_seen, n_automaton_ids_);
+      ac_walk(dense_, text, seen, out, n_seen, n_automaton_ids_);
       set_no_hint(hints, std::span<const std::size_t>(out).subspan(first));
     }
     if (stats != nullptr) {
@@ -360,117 +354,6 @@ std::vector<LiteralPrefilter::Registration> LiteralPrefilter::registrations()
     regs.push_back(Registration{std::string_view(), id});
   }
   return regs;
-}
-
-// --------------------------- StreamingMatcher ---------------------------
-
-StreamingMatcher::StreamingMatcher(const LiteralPrefilter& prefilter)
-    : pf_(&prefilter) {
-  if (!prefilter.built()) {
-    throw std::logic_error("StreamingMatcher: prefilter not built");
-  }
-  seen_.assign(pf_->id_limit_, 0);
-}
-
-void StreamingMatcher::feed(std::string_view chunk) {
-  bytes_fed_ += chunk.size();
-  if (n_seen_ == pf_->n_automaton_ids_) {
-    return;  // nothing to find (or everything already found)
-  }
-  if (pf_->n_dense_shards_ > 0) {
-    // Dense-shard literals never enter the Teddy window. Their automaton
-    // is resumable (dense_state_ carries across chunks), so it scans each
-    // chunk exactly once with no carry tail.
-    n_seen_ = LiteralPrefilter::ac_walk(pf_->dense_, chunk, dense_state_,
-                                        seen_, found_, n_seen_,
-                                        pf_->n_automaton_ids_);
-  }
-  if (!pf_->teddy_dense_) feed_teddy(chunk);
-}
-
-void StreamingMatcher::feed_teddy(std::string_view chunk) {
-  // Unscanned bytes accumulate in window_ and are scanned in batches: the
-  // carried tail (longest-literal−1 bytes of already-scanned text) is
-  // rescanned on every flush, so flushing per feed would make tiny chunks
-  // pay up to tail/chunk-size redundant work. Deferring until a multiple
-  // of the tail has arrived caps the overhead at ~25% regardless of how
-  // the stream is diced; finish_into() flushes the remainder.
-  const std::size_t keep = pf_->teddy_->max_literal_len() - 1;
-  const std::size_t flush_at = std::max<std::size_t>(256, 4 * keep);
-  // The window is also kept under slice_ bytes — inside Teddy's 32-bit
-  // position space — no matter how large one chunk is. It must hold more
-  // than the carry tail, or a flush would not advance.
-  const std::size_t slice = std::max(slice_, keep + 1);
-  while (!chunk.empty() && n_seen_ < pf_->n_automaton_ids_) {
-    if (window_.size() >= slice) {
-      scan_window();  // trims the window back to the carry tail
-      continue;
-    }
-    const std::size_t take = std::min(chunk.size(), slice - window_.size());
-    window_.append(chunk.substr(0, take));
-    chunk.remove_prefix(take);
-    pending_ += take;
-    if (pending_ >= flush_at) scan_window();
-  }
-}
-
-void StreamingMatcher::scan_window() {
-  pending_ = 0;
-  if (n_seen_ == pf_->n_automaton_ids_) return;
-  const teddy::PlanSet& plans = *pf_->teddy_;
-  // Every literal occurrence ending in the unscanned suffix starts inside
-  // the window (the carry tail in front of it is longest-literal−1 bytes,
-  // the maximum over ALL shards — a shard's own literals may be shorter,
-  // but scanning a longer tail only re-confirms ids the seen_ bitmap
-  // already holds); occurrences wholly inside the tail were confirmed by
-  // the previous flush.
-  n_seen_ = plans.find(window_, hits_, seen_, found_, n_seen_,
-                       pf_->n_automaton_ids_, nullptr, nullptr,
-                       pf_->n_dense_shards_ > 0 ? &pf_->dense_shard_ : nullptr);
-  const std::size_t keep = plans.max_literal_len() - 1;
-  if (window_.size() > keep) window_.erase(0, window_.size() - keep);
-}
-
-void StreamingMatcher::finish_into(std::vector<std::size_t>& out) {
-  // Flush any deferred Teddy bytes first so the snapshot reflects every
-  // fed chunk.
-  if (pending_ > 0) scan_window();
-  // Snapshot semantics: found_ keeps its discovery order so feeding can
-  // continue after a finish(); the sorted merge happens on the copy.
-  out = found_;
-  std::sort(out.begin(), out.end());
-  merge_fallback(out, pf_->fallback_);
-}
-
-std::vector<std::size_t> StreamingMatcher::finish() {
-  std::vector<std::size_t> out;
-  finish_into(out);
-  return out;
-}
-
-void StreamingMatcher::forget_found() {
-  // Every mark was set together with a found_ entry (entry first), so
-  // clearing exactly these leaves the bitmap all-zero.
-  for (const std::size_t id : found_) seen_[id] = 0;
-  found_.clear();
-  n_seen_ = 0;
-}
-
-void StreamingMatcher::reset() {
-  forget_found();
-  dense_state_ = 0;
-  bytes_fed_ = 0;
-  window_.clear();
-  pending_ = 0;
-}
-
-void StreamingMatcher::rebind(const LiteralPrefilter& prefilter) {
-  if (!prefilter.built()) {
-    throw std::logic_error("StreamingMatcher: prefilter not built");
-  }
-  reset();
-  pf_ = &prefilter;
-  if (seen_.size() < pf_->id_limit_) seen_.resize(pf_->id_limit_, 0);
 }
 
 }  // namespace kizzle::match

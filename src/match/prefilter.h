@@ -22,7 +22,7 @@
 //            (kDenseRouteHitsPerByte) walk a small Aho–Corasick automaton
 //            compiled over exactly their literals; no other automaton
 //            exists in the product. Texts past Teddy's 32-bit position
-//            space are scanned in overlapping 1 GiB slices.
+//            space run the SIMD pass over overlapping in-place slices.
 //            The test-only reference automaton (tests/testing) is the
 //            differential oracle every first-stage route is pinned to.
 //   tier 2 — window confirm (teddy::Plan::confirm). Each sparse hit is
@@ -50,9 +50,10 @@
 // routing and the dense-shard automaton from the raw registrations; none
 // of it is ever serialized — a release artifact (core/sigdb.h) ships the
 // signatures alone and every process derives its matcher at load (cheaper
-// than loading prebuilt tables ever was: BM_PrefilterBuild). For data that
+// than loading prebuilt tables ever was: BM_PrefilterBuild). There is one
+// entry point, candidates_into(), and it runs once per whole text: data that
 // arrives in pieces (a script streamed by the network, a large file read
-// in blocks), StreamingMatcher runs the same first stage chunk by chunk.
+// in blocks) is accumulated by engine::Stream and scanned at finish.
 #pragma once
 
 #include <array>
@@ -66,8 +67,6 @@
 #include "match/teddy.h"
 
 namespace kizzle::match {
-
-class StreamingMatcher;
 
 // Why a scan did not take the Teddy first stage (kNone when it did).
 enum class PrefilterFallback : std::uint8_t {
@@ -127,10 +126,10 @@ class LiteralPrefilter {
   std::size_t id_count() const { return n_ids_; }
   std::size_t fallback_count() const { return fallback_.size(); }
 
-  // One streaming pass over `text`: every id whose literal occurs in
-  // `text`, merged with the fallback ids. Sorted ascending, deduplicated —
-  // callers that want brute-force-identical first-match semantics just
-  // iterate in order and stop at the first hit. Thread-safe.
+  // One pass over `text`: every id whose literal occurs in `text`, merged
+  // with the fallback ids. Sorted ascending, deduplicated — callers that
+  // want brute-force-identical first-match semantics just iterate in order
+  // and stop at the first hit. Thread-safe.
   std::vector<std::size_t> candidates(std::string_view text) const;
 
   // Same, reusing `out` to avoid per-call allocation on hot paths.
@@ -187,7 +186,6 @@ class LiteralPrefilter {
   std::vector<Registration> registrations() const;
 
  private:
-  friend class StreamingMatcher;
   // Test-only access (tests/testing): drives the slicing route with small
   // slice sizes, which product code never uses.
   friend struct PrefilterTestPeer;
@@ -213,25 +211,22 @@ class LiteralPrefilter {
   // Compiles `keywords` (in order — table layout is order-deterministic).
   static AcTables compile_automaton(const std::vector<Keyword>& keywords);
 
-  // Resumable walk over `t`: advances `state` across `text`, appending
-  // newly seen ids to `out` (deduplicated via `seen`). Returns the updated
-  // seen-count; exits early once it reaches `stop_at`. One-shot callers
-  // pass a fresh state = 0; the streaming matcher carries `state` across
-  // chunk boundaries.
+  // Walks `t` over `text` from the start state, appending newly seen ids
+  // to `out` (deduplicated via `seen`). Returns the updated seen-count;
+  // exits early once it reaches `stop_at`.
   static std::size_t ac_walk(const AcTables& t, std::string_view text,
-                             std::int32_t& state,
                              std::vector<std::uint8_t>& seen,
                              std::vector<std::size_t>& out,
                              std::size_t n_seen, std::size_t stop_at);
 
-  // candidates_into() with the slicing route's parameters explicit: texts
-  // up to `whole_limit` bytes run one Teddy pass that fills `hints`,
-  // longer ones are fed whole to a StreamingMatcher whose window scans
-  // them in `slice`-byte slices.
+  // candidates_into() with the slicing route's bound explicit: texts up to
+  // `slice` bytes run one Teddy pass that fills `hints`; longer ones run
+  // it over overlapping in-place views of `slice` bytes (at least the
+  // longest literal) and report no hints. Dense shards always walk the
+  // whole text.
   void collect(std::string_view text, std::vector<std::size_t>& out,
                teddy::HitBuffer& hits, PrefilterStats* stats,
-               std::vector<std::uint32_t>* hints, std::size_t whole_limit,
-               std::size_t slice) const;
+               std::vector<std::uint32_t>* hints, std::size_t slice) const;
 
   std::vector<Keyword> keywords_;
   std::vector<std::size_t> fallback_raw_;  // as registered, may repeat
@@ -251,85 +246,6 @@ class LiteralPrefilter {
   bool built_ = false;
 
   static constexpr std::uint16_t kNoCode = 0xFFFF;
-};
-
-// Resumable cursor over a LiteralPrefilter for data that arrives in
-// chunks. feed() carries the first stage's state across chunk boundaries.
-// Dense-shard literals walk the dense automaton, whose DFA state *is* the
-// bounded tail buffer: it encodes exactly the longest literal prefix
-// ending at the boundary, so a literal straddling two chunks is recognized
-// the moment its last byte arrives, with no replay. The Teddy shards keep
-// the last longest-literal−1 raw bytes instead and scan them glued to the
-// next bytes — every occurrence ending past the tail starts inside that
-// window, and re-confirmed ids deduplicate — so the cursor reports exactly
-// the candidate set of the concatenation.
-// finish() merges what has been seen so far with the fallback ids into the
-// same sorted, deduplicated candidate set one-shot candidates() would
-// return for the concatenation of all fed chunks. finish() is a snapshot:
-// feeding may continue afterwards, and reset() rewinds the cursor for the
-// next document.
-//
-// The matcher holds a pointer to the prefilter; the prefilter must stay
-// alive and must not be rebuilt while any matcher streams over it. Each
-// matcher is single-owner state (one per in-flight document); distinct
-// matchers over one shared prefilter are safe concurrently.
-class StreamingMatcher {
- public:
-  explicit StreamingMatcher(const LiteralPrefilter& prefilter);
-
-  // Consumes the next chunk of the scanned text.
-  void feed(std::string_view chunk);
-
-  // Candidate set for everything fed since construction/reset: identical
-  // to prefilter.candidates(<all chunks concatenated>). Non-const: the
-  // Teddy path batches unscanned bytes, and finish flushes the remainder.
-  std::vector<std::size_t> finish();
-  void finish_into(std::vector<std::size_t>& out);
-
-  // Rewinds to the start-of-text state for the next document. Costs
-  // O(ids found so far), not O(id_count).
-  void reset();
-
-  // Re-targets the cursor at `prefilter` — possibly a different one —
-  // growing the dedup bitmap if needed and rewinding. Equivalent to
-  // constructing a fresh matcher, but reuses the existing buffers:
-  // rebinding to a prefilter of no larger id capacity performs no heap
-  // allocation. This is how a recycled engine::Scratch re-arms its
-  // streaming cursor.
-  void rebind(const LiteralPrefilter& prefilter);
-
-  std::size_t bytes_fed() const { return bytes_fed_; }
-
-  // Largest Teddy window: big chunks, and one-shot texts past Teddy's
-  // 32-bit position space, are scanned in slices of this size.
-  static constexpr std::size_t kSliceBytes = std::size_t{1} << 30;
-
- private:
-  // LiteralPrefilter streams oversized one-shot texts through a matcher;
-  // it and the tests (small slices) set slice_.
-  friend class LiteralPrefilter;
-  friend struct PrefilterTestPeer;
-
-  void feed_teddy(std::string_view chunk);
-  // Scans window_ (carry tail + deferred bytes), confirms the hits, and
-  // trims the window back to the carry tail.
-  void scan_window();
-  // Clears the dedup marks of every id found so far and empties found_.
-  void forget_found();
-
-  const LiteralPrefilter* pf_;
-  // Cursor into the dense-shard automaton: dense literals stream
-  // byte-at-a-time as chunks arrive, while sparse shards batch through
-  // feed_teddy — the two cursors share seen_/found_.
-  std::int32_t dense_state_ = 0;
-  std::size_t bytes_fed_ = 0;
-  std::size_t n_seen_ = 0;
-  std::vector<std::uint8_t> seen_;    // per-id dedup bitmap
-  std::vector<std::size_t> found_;    // literal ids, discovery order
-  std::string window_;                // teddy: carry tail + unscanned bytes
-  std::size_t pending_ = 0;           // teddy: unscanned byte count
-  teddy::HitBuffer hits_;             // teddy: reusable candidate positions
-  std::size_t slice_ = kSliceBytes;   // teddy: window size cap
 };
 
 }  // namespace kizzle::match

@@ -61,8 +61,9 @@
 //     the last reader drops it — a swap never invalidates an in-flight
 //     scan.
 //   - streams pin their epoch at open_stream() and finish on it, no
-//     matter how many swaps happen mid-stream (a stream's candidate
-//     cursor is only meaningful against the prefilter it was opened on).
+//     matter how many swaps happen mid-stream: a stream's verdict and the
+//     epoch its response reports name one database, the one in force
+//     when the client started sending.
 //   - deploys are *gated*: unless lint_on_swap is off, the incoming
 //     database (an artifact is compiled first) runs the full `kizzle
 //     lint` analysis (analyze/analyze.h) and error-severity findings

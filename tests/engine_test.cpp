@@ -10,9 +10,11 @@
 //   * scratch recycling — a Scratch reused across scans, streams and even
 //     databases (whose ids swap between literal and fallback roles) must
 //     produce exactly the events a fresh one does;
+//   * stream stats — Stream::finish runs scan()'s own first stage, so its
+//     ScanStats, prefilter slice included, equal a one-shot scan's;
 //   * zero-allocation steady state — with a warm Scratch, engine::scan
-//     performs no heap allocation at all, asserted via a global
-//     operator-new hook.
+//     and a chunk-fed stream perform no heap allocation at all, asserted
+//     via a global operator-new hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -376,6 +379,44 @@ TEST(EngineScan, ScanStatsReportTierSplitAndPrefilterCounters) {
   EXPECT_EQ(scratch.stats().confirmed_vm, 1u);
 }
 
+// A stream's finish runs the one-shot first stage over the accumulated
+// text, so the scratch's stats afterwards — tier 1–2 slice included —
+// are exactly those a scan() of the same text leaves.
+TEST(EngineScan, StreamFinishStatsEqualScanStats) {
+  const auto corpus = kitgen_corpus();
+  const Database db = Database::compile(corpus_signatures(corpus));
+  Scratch oneshot;
+  Scratch streamed;
+  const auto keep_going = [](const MatchEvent&) {
+    return ScanDecision::Continue;
+  };
+  for (const std::string& text : corpus) {
+    (void)scan(db, text, oneshot, keep_going);
+    Stream stream = open_stream(db, streamed);
+    for (std::size_t at = 0; at < text.size(); at += 7) {
+      stream.feed(std::string_view(text).substr(at, 7));
+    }
+    (void)stream.finish(keep_going);
+    const ScanStats& want = oneshot.stats();
+    const ScanStats& got = streamed.stats();
+    EXPECT_EQ(got.prefilter.first_stage_hits, want.prefilter.first_stage_hits);
+    EXPECT_EQ(got.prefilter.shards_scanned, want.prefilter.shards_scanned);
+    EXPECT_EQ(got.prefilter.literal_survivors,
+              want.prefilter.literal_survivors);
+    EXPECT_EQ(got.prefilter.dense_shards, want.prefilter.dense_shards);
+    EXPECT_EQ(got.prefilter.fallback, want.prefilter.fallback);
+    EXPECT_EQ(got.candidates, want.candidates);
+    EXPECT_EQ(got.confirmed_literal, want.confirmed_literal);
+    EXPECT_EQ(got.confirmed_literal_dominated,
+              want.confirmed_literal_dominated);
+    EXPECT_EQ(got.confirmed_vm, want.confirmed_vm);
+    EXPECT_EQ(got.gated, want.gated);
+    if (!text.empty()) {
+      EXPECT_GT(got.prefilter.shards_scanned, 0u);
+    }
+  }
+}
+
 TEST(EngineScan, FactorGateCountsRejectsAndSkipsTheVm) {
   // "yyyy" is the registered literal, so the prefilter hands this
   // signature over whenever it appears; only texts that also hold "zzz"
@@ -478,8 +519,20 @@ TEST(EngineScratch, ScratchMovedBetweenSwappedDatabasesEqualsFresh) {
     for (const Database* db : {&a, &b}) {
       for (const std::string& text : texts) {
         Scratch fresh;
-        expect_same_events(all_events(*db, text, moved),
-                           all_events(*db, text, fresh), "moved scratch");
+        const auto want = all_events(*db, text, fresh);
+        expect_same_events(all_events(*db, text, moved), want,
+                           "moved scratch");
+        // The same recycled scratch, streamed in 5-byte feeds.
+        Stream stream = open_stream(*db, moved);
+        for (std::size_t at = 0; at < text.size(); at += 5) {
+          stream.feed(std::string_view(text).substr(at, 5));
+        }
+        std::vector<MatchEvent> streamed;
+        stream.finish([&streamed](const MatchEvent& event) {
+          streamed.push_back(event);
+          return ScanDecision::Continue;
+        });
+        expect_same_events(streamed, want, "moved scratch stream");
       }
     }
   }
@@ -491,34 +544,39 @@ TEST(EngineScratch, SteadyStateScanPerformsZeroHeapAllocations) {
   const auto corpus = kitgen_corpus();
   const Database db = Database::compile(corpus_signatures(corpus));
   Scratch scratch;
-  std::size_t warm_events = 0;
-  // Warm-up: size every recycled buffer (candidate vector, VM slots/undo/
-  // stack high-water, the prefilter's per-thread bitmaps) to this corpus.
-  for (int round = 0; round < 2; ++round) {
-    warm_events = 0;
+  const auto keep_going = [](const MatchEvent&) {
+    return ScanDecision::Continue;
+  };
+  // One pass over the corpus, one-shot and streamed in 7-byte feeds;
+  // returns the events delivered by each.
+  const auto pass = [&] {
+    std::pair<std::size_t, std::size_t> events{0, 0};
     for (const std::string& text : corpus) {
-      const auto outcome =
-          scan(db, text, scratch,
-               [](const MatchEvent&) { return ScanDecision::Continue; });
-      warm_events += outcome.events;
+      events.first += scan(db, text, scratch, keep_going).events;
+      Stream stream = open_stream(db, scratch);
+      for (std::size_t at = 0; at < text.size(); at += 7) {
+        stream.feed(std::string_view(text).substr(at, 7));
+      }
+      events.second += stream.finish(keep_going).events;
     }
-  }
-  ASSERT_GT(warm_events, 0u);  // the claim must cover real confirmations
+    return events;
+  };
+  // Warm-up: size every recycled buffer (candidate vector, VM slots/undo/
+  // stack high-water, the stream text, the prefilter's per-thread bitmaps)
+  // to this corpus.
+  std::pair<std::size_t, std::size_t> warm_events;
+  for (int round = 0; round < 2; ++round) warm_events = pass();
+  ASSERT_GT(warm_events.first, 0u);  // the claim must cover real confirmations
+  ASSERT_EQ(warm_events.second, warm_events.first);
 
   g_allocation_count.store(0, std::memory_order_relaxed);
   g_count_allocations.store(true, std::memory_order_relaxed);
-  std::size_t hot_events = 0;
-  for (const std::string& text : corpus) {
-    const auto outcome =
-        scan(db, text, scratch,
-             [](const MatchEvent&) { return ScanDecision::Continue; });
-    hot_events += outcome.events;
-  }
+  const std::pair<std::size_t, std::size_t> hot_events = pass();
   g_count_allocations.store(false, std::memory_order_relaxed);
 
   EXPECT_EQ(hot_events, warm_events);
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u)
-      << "steady-state engine::scan touched the heap";
+      << "steady-state engine::scan or stream touched the heap";
 }
 
 }  // namespace

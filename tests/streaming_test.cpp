@@ -1,9 +1,11 @@
-// Streaming scan + bundle artifact tests (the deployment channels):
-// StreamingMatcher must be byte-identical to one-shot candidates() — and
-// to the reference automaton (tests/testing) — over every chunking of a
-// corpus, a recycled matcher must equal a fresh one whatever prefilter it
-// moves to, and a database loaded from the `.kpf` artifact must give the
-// verdicts of one compiled from the same signatures.
+// Chunked-scan + bundle artifact tests (the deployment channels): an
+// engine::Stream accumulates its feeds and scans them once at finish(),
+// so every finish — including a snapshot taken mid-stream — must deliver
+// exactly the events and stats of a one-shot scan of everything fed so
+// far, open_stream() must rewind, and a database loaded from the `.kpf`
+// artifact must give the verdicts of one compiled from the same
+// signatures. (Every chunking and split of the kitgen corpus is diffed
+// against one-shot scans in tests/engine_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,187 +18,107 @@
 #include "core/sigdb.h"
 #include "engine/engine.h"
 #include "kitgen/families.h"
-#include "kitgen/packers.h"
-#include "kitgen/payload.h"
 #include "kitgen/stream.h"
-#include "match/pattern.h"
-#include "match/prefilter.h"
-#include "support/rng.h"
-#include "testing/reference_automaton.h"
 #include "text/normalize.h"
 
-namespace kizzle::match {
+namespace kizzle::engine {
 namespace {
 
-// ----------------------------- corpus setup -----------------------------
-
-std::vector<std::string> kitgen_corpus() {
-  Rng rng(0xFEED5EED);
-  std::vector<std::string> samples;
-  for (int i = 0; i < 4; ++i) {
-    kitgen::PayloadSpec spec;
-    spec.family = kitgen::KitFamily::Nuclear;
-    spec.cves = kitgen::kit_info(kitgen::KitFamily::Nuclear).cves;
-    spec.av_check = true;
-    spec.urls = {kitgen::make_landing_url(rng)};
-    samples.push_back(text::normalize_raw(
-        pack_nuclear(payload_text(spec), kitgen::NuclearPackerState{}, rng)));
-    spec.family = kitgen::KitFamily::Rig;
-    spec.cves = kitgen::kit_info(kitgen::KitFamily::Rig).cves;
-    samples.push_back(text::normalize_raw(
-        pack_rig(payload_text(spec), kitgen::RigPackerState{}, rng)));
-  }
-  samples.push_back("");                      // empty document
-  samples.push_back("no literals here at all");
-  return samples;
+std::vector<std::size_t> event_indices(const Database& db,
+                                       std::string_view text,
+                                       Scratch& scratch) {
+  std::vector<std::size_t> out;
+  scan(db, text, scratch, [&out](const MatchEvent& event) {
+    out.push_back(event.sig_index);
+    return ScanDecision::Continue;
+  });
+  return out;
 }
 
-// A prefilter shaped like a deployed database: literal chunks cut from the
-// corpus (most from *other* samples), shared literals, and fallback ids.
-LiteralPrefilter corpus_prefilter(const std::vector<std::string>& corpus) {
-  LiteralPrefilter pf;
-  Rng rng(0xAB);
-  std::size_t id = 0;
-  for (const std::string& text : corpus) {
-    if (text.size() < 64) continue;
-    for (int k = 0; k < 3; ++k) {
-      const std::size_t len = 12 + rng.index(24);
-      const std::size_t at = rng.index(text.size() - len);
-      pf.add(id++, text.substr(at, len));
-    }
-  }
-  pf.add(id++, "fromCharCode");
-  pf.add(id++, "fromCharCode");  // shared literal
-  pf.add(id++, "");              // fallback
-  pf.add(id++, "");
-  pf.build();
-  return pf;
+std::vector<std::size_t> finish_indices(const Stream& stream) {
+  std::vector<std::size_t> out;
+  stream.finish([&out](const MatchEvent& event) {
+    out.push_back(event.sig_index);
+    return ScanDecision::Continue;
+  });
+  return out;
 }
 
-std::vector<std::size_t> chunk_sizes_for(std::size_t n) {
-  std::vector<std::size_t> sizes = {1, 7, 4096};
-  sizes.push_back(std::max<std::size_t>(n, 1));  // whole text in one chunk
-  return sizes;
+// finish() is a snapshot: feeding may continue and every finish scans all
+// bytes fed so far — a literal completed by a later feed is found then.
+// open_stream() rewinds: nothing of the previous stream carries over, not
+// even a literal prefix at its end.
+TEST(EngineStream, FinishIsASnapshotAndOpenStreamRewinds) {
+  const Database db = Database::compile(std::vector<Database::Spec>{
+      {"alpha", "T", "alpha"},
+      {"beta", "T", "beta"},
+      {"word", "T", "[a-z]{3}"},  // no usable literal: always a candidate
+  });
+  ASSERT_EQ(db.prefilter().fallback_ids(), (std::vector<std::size_t>{2}));
+  Scratch scratch;
+  Scratch oneshot;
+  Stream stream = open_stream(db, scratch);
+  std::string fed;
+  const auto feed_and_check = [&](std::string_view chunk,
+                                  const std::vector<std::size_t>& want) {
+    stream.feed(chunk);
+    fed += chunk;
+    EXPECT_EQ(finish_indices(stream), want) << fed;
+    EXPECT_EQ(event_indices(db, fed, oneshot), want) << fed;
+    EXPECT_EQ(stream.text(), fed);
+    EXPECT_EQ(stream.bytes_fed(), fed.size());
+  };
+  feed_and_check("has alp", {2});
+  feed_and_check("ha only", {0, 2});  // "alpha" across the two feeds
+  feed_and_check(" and beta", {0, 1, 2});
+
+  stream = open_stream(db, scratch);
+  EXPECT_EQ(stream.bytes_fed(), 0u);
+  EXPECT_TRUE(stream.text().empty());
+  EXPECT_TRUE(finish_indices(stream).empty());
+  fed.clear();
+  feed_and_check("beta", {1, 2});
+
+  // A literal prefix at the end of an abandoned stream does not complete
+  // across the rewind.
+  stream = open_stream(db, scratch);
+  stream.feed("alp");
+  stream = open_stream(db, scratch);
+  fed.clear();
+  feed_and_check("ha", {});
 }
 
-// ------------------------- chunking oracle tests -------------------------
-
-TEST(StreamingMatcher, EveryChunkingMatchesOneShotCandidates) {
-  const auto corpus = kitgen_corpus();
-  const LiteralPrefilter pf = corpus_prefilter(corpus);
-  const testing::ReferenceAutomaton ref(pf);
-  for (const std::string& text : corpus) {
-    const auto expect = pf.candidates(text);
-    ASSERT_EQ(expect, ref.candidates(text));
-    for (const std::size_t chunk : chunk_sizes_for(text.size())) {
-      StreamingMatcher m(pf);
+// A database whose patterns have no usable literal never runs the first
+// stage: every signature is a candidate, streamed or not, and the stream's
+// stats say so.
+TEST(EngineStream, DatabaseWithNoUsableLiteralStreamsLikeOneShot) {
+  const Database db = Database::compile(std::vector<Database::Spec>{
+      {"zq", "T", "zq[0-9]{3}zq"},
+      {"mix", "T", "[0-9]+[a-z]+"},
+  });
+  ASSERT_EQ(db.prefilter().fallback_count(), db.size());
+  const std::vector<std::string> texts = {"xx zq123zq yy", "42abc", "zq12zq",
+                                          ""};
+  Scratch scratch;
+  Scratch oneshot;
+  for (const std::string& text : texts) {
+    const auto want = event_indices(db, text, oneshot);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
+                                     std::max<std::size_t>(text.size(), 1)}) {
+      Stream stream = open_stream(db, scratch);
       for (std::size_t at = 0; at < text.size(); at += chunk) {
-        m.feed(std::string_view(text).substr(at, chunk));
+        stream.feed(std::string_view(text).substr(at, chunk));
       }
-      EXPECT_EQ(m.finish(), expect)
-          << "text size " << text.size() << " chunk " << chunk;
-      EXPECT_EQ(m.bytes_fed(), text.size());
+      EXPECT_EQ(finish_indices(stream), want) << text << " / " << chunk;
+      EXPECT_EQ(scratch.stats().prefilter.fallback,
+                match::PrefilterFallback::kNoLiterals);
+      EXPECT_EQ(scratch.stats().candidates, db.size());
     }
-  }
-}
-
-TEST(StreamingMatcher, LiteralStraddlingEveryChunkBoundaryIsFound) {
-  LiteralPrefilter pf;
-  pf.add(0, "straddle");
-  pf.add(1, "xyz");
-  pf.build();
-  const std::string text = "aa straddle bb xyz cc";
-  const auto expect = pf.candidates(text);
-  ASSERT_EQ(expect, (std::vector<std::size_t>{0, 1}));
-  // Split at every position: each literal straddles some split.
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    StreamingMatcher m(pf);
-    m.feed(std::string_view(text).substr(0, split));
-    m.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(m.finish(), expect) << "split at " << split;
-  }
-}
-
-TEST(StreamingMatcher, FinishIsASnapshotAndResetRewinds) {
-  LiteralPrefilter pf;
-  pf.add(0, "alpha");
-  pf.add(1, "beta");
-  pf.add(2, "");
-  pf.build();
-  StreamingMatcher m(pf);
-  m.feed("has alp");
-  EXPECT_EQ(m.finish(), (std::vector<std::size_t>{2}));
-  m.feed("ha only");  // completes "alpha" across the two feeds
-  EXPECT_EQ(m.finish(), (std::vector<std::size_t>{0, 2}));
-  m.feed(" and beta");
-  EXPECT_EQ(m.finish(), (std::vector<std::size_t>{0, 1, 2}));
-  m.reset();
-  EXPECT_EQ(m.bytes_fed(), 0u);
-  EXPECT_EQ(m.finish(), (std::vector<std::size_t>{2}));
-  m.feed("beta");
-  EXPECT_EQ(m.finish(), (std::vector<std::size_t>{1, 2}));
-}
-
-TEST(StreamingMatcher, RequiresBuiltPrefilter) {
-  LiteralPrefilter pf;
-  pf.add(0, "abc");
-  EXPECT_THROW(StreamingMatcher{pf}, std::logic_error);
-}
-
-TEST(StreamingMatcher, FallbackOnlyPrefilterYieldsFallbackIds) {
-  LiteralPrefilter pf;
-  pf.add(0, "");
-  pf.add(1, "");
-  pf.build();
-  StreamingMatcher m(pf);
-  m.feed("anything at all");
-  EXPECT_EQ(m.finish(), (std::vector<std::size_t>{0, 1}));
-}
-
-// ------------------------------ recycling ------------------------------
-
-// A recycled matcher (engine::Scratch keeps one) rebinds across
-// prefilters whose ids swap between literal, fallback and dense-shard
-// roles, in both directions of id-space growth, mid-document included:
-// every result must equal a fresh matcher's on the same prefilter.
-TEST(StreamingMatcher, RebindAcrossPrefiltersEqualsFreshMatcher) {
-  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
-  LiteralPrefilter a, b;
-  a.add(0, "needle");
-  a.add(1, "");
-  b.add(0, "");
-  b.add(1, "needle");
-  for (std::size_t i = 0; i < 512; ++i) {
-    std::string lit(1, kAlpha[i % kAlpha.size()]);
-    if (i % 7 != 0) lit.push_back(kAlpha[(i / kAlpha.size()) % kAlpha.size()]);
-    b.add(2 + i, lit);  // a dense shard in `b`; `a` stops at id 1
-  }
-  a.build();
-  b.build();
-  ASSERT_GT(b.dense_shard_count(), 0u);
-
-  const std::string text = "xx needle yy q7 zz 0a" + std::string(300, '.') +
-                           "needle";
-  StreamingMatcher recycled(a);
-  for (const LiteralPrefilter* pf : {&a, &b, &a, &b}) {
-    recycled.feed(std::string_view(text).substr(0, 9));  // abandoned
-    recycled.rebind(*pf);
-    StreamingMatcher fresh(*pf);
-    for (std::size_t at = 0; at < text.size(); at += 13) {
-      recycled.feed(std::string_view(text).substr(at, 13));
-      fresh.feed(std::string_view(text).substr(at, 13));
-    }
-    const auto expect = pf->candidates(text);
-    EXPECT_EQ(fresh.finish(), expect);
-    EXPECT_EQ(recycled.finish(), expect);
-    recycled.reset();
-    recycled.feed(text);
-    EXPECT_EQ(recycled.finish(), expect);
   }
 }
 
 }  // namespace
-}  // namespace kizzle::match
+}  // namespace kizzle::engine
 
 // ------------------------- bundle artifact tests -------------------------
 

@@ -13,11 +13,9 @@
 //     versus 8-bucket plans, shared-prefix bucket collisions, occurrences
 //     at position 0 and at the last possible position, and the full
 //     kitgen corpus;
-//   * streaming equivalence — StreamingMatcher over the Teddy path equals
-//     one-shot candidates() for every split position and every chunking;
 //   * dense routing — hybrid and all-dense sets walk the dense-shard
-//     automaton (one-shot and streaming), sparse sets compile none;
-//   * slicing — the shared slicer over small slices equals the unsliced
+//     automaton, sparse sets compile none;
+//   * slicing — the in-place slicer over small slices equals the unsliced
 //     scan for literals straddling every slice edge;
 //   * thread safety — one shared plan scanned from many threads (the tsan
 //     CI job runs this suite).
@@ -411,84 +409,6 @@ TEST(TeddyPrefilter, ScanStatsReportRoutingAndCounts) {
   EXPECT_EQ(out, (std::vector<std::size_t>{0, 1}));
 }
 
-// ---------------------------- streaming oracle ----------------------------
-
-TEST(TeddyStreaming, EverySplitPositionMatchesOneShot) {
-  const Pair p = build_pair(
-      {{0, "needle"}, {1, "spanner"}, {2, "xyz"}, {3, ""}, {4, "abcd"}});
-  ASSERT_TRUE(p.teddy.teddy_active());
-  const std::string text =
-      "xx needle yy spanner zz abcd xyzxyz needlespanner abcdabcd";
-  const auto expect = p.teddy.candidates(text);
-  ASSERT_EQ(expect, p.automaton.candidates(text));
-
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    StreamingMatcher teddy_stream(p.teddy);
-    teddy_stream.feed(std::string_view(text).substr(0, split));
-    teddy_stream.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(teddy_stream.finish(), expect) << "split " << split;
-  }
-
-  // Byte-at-a-time and small odd chunks.
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-    StreamingMatcher stream(p.teddy);
-    for (std::size_t at = 0; at < text.size(); at += chunk) {
-      stream.feed(std::string_view(text).substr(at, chunk));
-    }
-    EXPECT_EQ(stream.finish(), expect) << "chunk " << chunk;
-  }
-}
-
-TEST(TeddyStreaming, EverySplitAcrossShardBoundaries) {
-  // A database whose literals span all four length-class shards, streamed
-  // with every split position: occurrences of every class must survive the
-  // chunk boundary (the carried tail is sized by the LONGEST literal of
-  // the whole set, not of any one shard).
-  const Pair p = build_pair({{0, "k"},
-                             {1, "qz"},
-                             {2, "abc"},
-                             {3, "straddlers"},
-                             {4, "wxyz"},
-                             {5, ""}});
-  ASSERT_TRUE(p.teddy.teddy_active());
-  ASSERT_EQ(p.teddy.teddy_plans()->shard_count(), 4u);
-  const std::string text = "..k..qz..abc..straddlers..wxyz..qzk..";
-  const auto expect = p.teddy.candidates(text);
-  ASSERT_EQ(expect, p.automaton.candidates(text));
-  ASSERT_EQ(expect, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
-
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    StreamingMatcher stream(p.teddy);
-    stream.feed(std::string_view(text).substr(0, split));
-    stream.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(stream.finish(), expect) << "split " << split;
-  }
-  // Byte-at-a-time: every literal crosses a feed boundary.
-  StreamingMatcher stream(p.teddy);
-  for (const char c : text) stream.feed(std::string_view(&c, 1));
-  EXPECT_EQ(stream.finish(), expect);
-}
-
-TEST(TeddyStreaming, ResetAndRebindClearTheCarriedWindow) {
-  const Pair p = build_pair({{0, "straddle"}, {1, "abc"}});
-  StreamingMatcher stream(p.teddy);
-  stream.feed("strad");
-  stream.reset();
-  stream.feed("dle");  // must NOT complete "straddle" across the reset
-  EXPECT_TRUE(stream.finish().empty());
-
-  stream.reset();
-  stream.feed("strad");
-  stream.rebind(p.teddy);
-  stream.feed("dle");
-  EXPECT_TRUE(stream.finish().empty());
-
-  stream.reset();
-  stream.feed("strad");
-  stream.feed("dle");
-  EXPECT_EQ(stream.finish(), (std::vector<std::size_t>{0}));
-}
-
 // ----------------------------- kitgen corpus -----------------------------
 
 std::vector<std::string> kitgen_corpus() {
@@ -545,39 +465,6 @@ TEST(TeddyPrefilter, KitgenCorpusOneShotEquivalence) {
   EXPECT_EQ(p.teddy.dense_state_count(), 0u);
   for (const std::string& sample : corpus) {
     EXPECT_EQ(p.teddy.candidates(sample), p.automaton.candidates(sample));
-  }
-}
-
-TEST(TeddyStreaming, KitgenCorpusEveryChunking) {
-  const auto corpus = kitgen_corpus();
-  const Pair p = build_pair(corpus_registrations(corpus));
-  ASSERT_TRUE(p.teddy.teddy_active());
-
-  for (const std::string& sample : corpus) {
-    const auto expect = p.automaton.candidates(sample);
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{7}, std::size_t{4096}, sample.size()}) {
-      StreamingMatcher stream(p.teddy);
-      if (chunk == 0) {
-        stream.feed(sample);
-      } else {
-        for (std::size_t at = 0; at < sample.size(); at += chunk) {
-          stream.feed(std::string_view(sample).substr(at, chunk));
-        }
-      }
-      EXPECT_EQ(stream.finish(), expect) << "chunk " << chunk;
-    }
-  }
-
-  // Every split position of one full sample.
-  const std::string& sample = corpus.front();
-  const auto expect = p.automaton.candidates(sample);
-  StreamingMatcher stream(p.teddy);
-  for (std::size_t split = 0; split <= sample.size(); ++split) {
-    stream.reset();
-    stream.feed(std::string_view(sample).substr(0, split));
-    stream.feed(std::string_view(sample).substr(split));
-    ASSERT_EQ(stream.finish(), expect) << "split " << split;
   }
 }
 
@@ -708,57 +595,14 @@ TEST(TeddyPrefilter, AllDenseSetWalksTheDenseAutomaton) {
   expect_equal_candidates(dense, "...");
 }
 
-TEST(TeddyStreaming, AllDenseEverySplit) {
-  const Pair p = build_pair(all_dense_regs());
-  ASSERT_TRUE(p.teddy.teddy_dense());
-  const std::string text = "..q..7..zz" + kitgen_corpus().front().substr(0, 90);
-  const std::vector<std::size_t> expect = p.automaton.candidates(text);
-  StreamingMatcher m(p.teddy);
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    m.reset();
-    m.feed(std::string_view(text).substr(0, split));
-    m.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(m.finish(), expect) << "split at " << split;
-  }
-}
-
-// Streaming over a hybrid-routed prefilter: the dense sub-automaton's DFA
-// state carries across chunk boundaries while the sparse shards batch
-// through the Teddy window. Every split position of a text that exercises
-// both routes must equal the one-shot candidate set.
-TEST(TeddyStreaming, HybridDenseRoutingEverySplit) {
-  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
-  std::vector<std::pair<std::size_t, std::string>> regs;
-  for (std::size_t i = 0; i < 512; ++i) {
-    std::string lit;
-    lit.push_back(kAlpha[i % kAlpha.size()]);
-    if (i % 7 != 0) lit.push_back(kAlpha[(i / kAlpha.size()) % kAlpha.size()]);
-    regs.emplace_back(i, lit);
-  }
-  const Pair p = build_pair(regs);
-  ASSERT_TRUE(p.teddy.teddy_active());
-  ASSERT_GT(p.teddy.dense_shard_count(), 0u);
-
-  const std::string text = kitgen_corpus().front().substr(0, 160);
-  const std::vector<std::size_t> expect = p.automaton.candidates(text);
-  StreamingMatcher m(p.teddy);
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    m.reset();
-    m.feed(std::string_view(text).substr(0, split));
-    m.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(m.finish(), expect) << "split at " << split;
-  }
-}
-
 // ------------------------------- slicing --------------------------------
 
-// The one slicer — StreamingMatcher's window loop, which one-shot texts
-// past 4 GiB are fed through whole — driven with small slices through the
-// test seam: every literal placed at every position — so across every
-// slice edge — must come out exactly as the unsliced scan and the
-// reference automaton report it, both for the one-shot route and for a
-// stream fed in chunks, on a sparse set and on a hybrid one whose dense
-// shard walks the whole text.
+// The slicer texts past 4 GiB take — the SIMD pass over overlapping
+// in-place views — driven with small slices through the test seam: every
+// literal placed at every position — so across every slice edge — must
+// come out exactly as the unsliced scan and the reference automaton
+// report it, on a sparse set and on a hybrid one whose dense shard walks
+// the whole text.
 TEST(TeddySlicing, LiteralsStraddlingEverySliceEdge) {
   const std::vector<std::string> lits = {"q", "zk", "abc", "wxyz",
                                          "straddle", "longliteral12"};
@@ -797,16 +641,6 @@ TEST(TeddySlicing, LiteralsStraddlingEverySliceEdge) {
           // sliced scan reports no hints at all.
           for (const std::size_t id : expect) {
             EXPECT_EQ(hints[id], teddy::kNoHint) << id;
-          }
-          for (const std::size_t chunk : {std::size_t{5}, std::size_t{40}}) {
-            StreamingMatcher sm(p.teddy);
-            PrefilterTestPeer::set_slice(sm, slice);
-            for (std::size_t i = 0; i < text.size(); i += chunk) {
-              sm.feed(std::string_view(text).substr(i, chunk));
-            }
-            ASSERT_EQ(sm.finish(), expect) << "slice " << slice << ", chunk "
-                                           << chunk << ", " << lit << " at "
-                                           << at;
           }
         }
       }

@@ -5,8 +5,9 @@
 // reduced alphabet, no SIMD, no shards and no dense routing. It shares no
 // code with the product first stage, which is exactly what makes it a
 // differential oracle: every route LiteralPrefilter can take (Teddy,
-// hybrid dense shards, all-dense, sliced texts, streaming) must return
-// its candidate set byte for byte. It sits next to the brute-force
+// hybrid dense shards, all-dense, sliced texts) must return its candidate
+// set byte for byte; engine streams run the same routes over their
+// accumulated text at finish. It sits next to the brute-force
 // scanner (brute_force.h), the oracle one tier up.
 //
 // PrefilterTestPeer is the seam into the prefilter's private slicing
@@ -64,21 +65,16 @@ class ReferenceAutomaton {
 namespace kizzle::match {
 
 struct PrefilterTestPeer {
-  // candidates_into's result when every non-empty text takes the route of
-  // texts past 4 GiB: fed whole to a StreamingMatcher whose window scans
-  // it in `slice`-byte slices. `hints` as in candidates_into.
+  // candidates_into's result when every text longer than `slice` takes
+  // the route of texts past 4 GiB: the SIMD pass over overlapping
+  // `slice`-byte views of the text. `hints` as in candidates_into.
   static std::vector<std::size_t> candidates_sliced(
       const LiteralPrefilter& pf, std::string_view text, std::size_t slice,
       std::vector<std::uint32_t>* hints = nullptr) {
     std::vector<std::size_t> out;
     teddy::HitBuffer hits;
-    pf.collect(text, out, hits, nullptr, hints, /*whole_limit=*/0, slice);
+    pf.collect(text, out, hits, nullptr, hints, slice);
     return out;
-  }
-
-  // Caps `m`'s Teddy window at `slice` bytes instead of 1 GiB.
-  static void set_slice(StreamingMatcher& m, std::size_t slice) {
-    m.slice_ = slice;
   }
 };
 

@@ -40,9 +40,21 @@ printf '\xff' | dd of="$tmp/bad.kzd" bs=1 seek=40 count=1 conv=notrunc 2> /dev/n
   --poll-ms 100 "$tmp/live.kpf" 2> "$tmp/serve.log" &
 serve_pid=$!
 
-# Prime the watcher on the serving bundle, ship the corrupted delta first
-# (must be refused, service keeps scanning), then the real one.
-sleep 1.2
+# Wait until the watcher has primed on the serving bundle (serve prints a
+# readiness line; startup builds its fixture first, which takes seconds
+# under sanitizers), then ship the corrupted delta first (must be refused,
+# service keeps scanning), then the real one.
+for _ in $(seq 600); do
+  grep -q '^\[serve\] watch-ready primed=1' "$tmp/serve.log" && break
+  kill -0 "$serve_pid" 2> /dev/null || break
+  sleep 0.1
+done
+if ! grep -q '^\[serve\] watch-ready primed=1' "$tmp/serve.log"; then
+  echo "delta smoke: watcher never reported ready:" >&2
+  cat "$tmp/serve.log" >&2
+  kill "$serve_pid" 2> /dev/null || true
+  exit 1
+fi
 mv "$tmp/bad.kzd" "$tmp/live.kpf"
 sleep 1.5
 mv "$tmp/good.kzd" "$tmp/live.kpf"
